@@ -6,7 +6,9 @@
 //! `EdgeSliceSystem::new`, so the replays must reproduce the program's
 //! results bit for bit; the workloads check that they do. That check is
 //! what makes the per-layer numbers describe the program that the
-//! untraced run measured.
+//! untraced run measured. The training replay drives the program's own
+//! `Ddpg`; only the phase split of its update comes from a copy
+//! ([`PhaseMirror`]), which is measured beside the original.
 
 use std::sync::Arc;
 
@@ -18,9 +20,7 @@ use edgeslice::{
 };
 use edgeslice_netsim::{DiurnalTrace, PoissonTraffic, TrafficSource};
 use edgeslice_nn::{Activation, Adam, Matrix, Mlp, TrainScratch};
-use edgeslice_rl::{
-    Batch, DdpgConfig, DecayingGaussian, Environment, ReplayBuffer, Technique, Transition,
-};
+use edgeslice_rl::{Batch, Ddpg, DdpgConfig, Environment, ReplayBuffer, Technique, Transition};
 use edgeslice_runtime::{derive_stream_seed, DOMAIN_ORCH, DOMAIN_ROUND, DOMAIN_TRAIN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,9 +69,9 @@ impl Decide for OrchestrationAgent {
     }
 }
 
-impl Decide for ReplayDdpg {
+impl Decide for Ddpg {
     fn decide(&self, state: &[f64]) -> Vec<f64> {
-        self.actor.forward_one(state)
+        self.policy(state)
     }
 }
 
@@ -309,6 +309,101 @@ fn worker_snapshot(j: usize, env: &RaSliceEnv) -> WorkerSnapshot {
     }
 }
 
+/// `OrchestrationAgent::train` → `Ddpg::train` for one RA, step by step,
+/// through the program's learner and its public `explore`, `observe` and
+/// `update`: the updates timed here are the program's own.
+pub fn train_ra(
+    learner: &mut Ddpg,
+    env: &mut RaSliceEnv,
+    steps: usize,
+    rng: &mut StdRng,
+    tr: &mut Tracer,
+) {
+    let warmup = learner.config().warmup;
+    env.set_randomize_coord(true);
+    let mut state = tr.time("env.reset", || env.reset(rng));
+    for step in 0..steps {
+        let action: Vec<f64> = if step < warmup {
+            tr.time("rl.warmup", || {
+                (0..env.action_dim())
+                    .map(|_| rng.gen_range(0.0..1.0))
+                    .collect()
+            })
+        } else {
+            tr.time("rl.explore", || learner.explore(&state, rng))
+        };
+        let out = tr.time("env.step", || env.step(&action, rng));
+        tr.time("rl.observe", || {
+            learner.observe(&Transition {
+                state: state.clone(),
+                action,
+                reward: out.reward,
+                next_state: out.next_state.clone(),
+                done: out.done,
+            })
+        });
+        state = if out.done {
+            tr.time("env.reset", || env.reset(rng))
+        } else {
+            out.next_state
+        };
+        if step >= warmup {
+            tr.time("rl.update", || learner.update(rng));
+        }
+    }
+    env.set_randomize_coord(false);
+}
+
+/// Mirrors `EdgeSliceSystem::train(steps, rng)` under `Threaded`: draws
+/// the training master seed, then trains every RA on its own thread with
+/// its own tracer. Returns one tracer per RA.
+pub fn train(
+    replica: &mut Replica<Ddpg>,
+    steps: usize,
+    rng: &mut StdRng,
+    origin: std::time::Instant,
+) -> Vec<Tracer> {
+    let master = rng.gen::<u64>();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = replica
+            .envs
+            .iter_mut()
+            .zip(&mut replica.policies)
+            .enumerate()
+            .map(|(j, (env, learner))| {
+                scope.spawn(move || {
+                    let mut tr = Tracer::new(origin, j as u32 + 1);
+                    let mut rng =
+                        StdRng::seed_from_u64(derive_stream_seed(master, DOMAIN_TRAIN, j as u64));
+                    tr.begin("bench.train_ra");
+                    train_ra(learner, env, steps, &mut rng, &mut tr);
+                    tr.time("env.clear", || env.clear_queues());
+                    tr.end();
+                    tr
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("replay training thread panicked"))
+            .collect()
+    })
+}
+
+/// GEMM floating-point operations of one DDPG update at batch `n`: four
+/// actor-sized passes (target forward, forward, two for the backward)
+/// and six critic-sized ones (target forward, TD forward and backward
+/// twice over, policy forward, input-gradient backward).
+pub fn update_flops(actor: &Mlp, critic: &Mlp, n: usize) -> u64 {
+    let pass = |net: &Mlp| -> u64 {
+        net.layers()
+            .iter()
+            .map(|l| 2 * n as u64 * (l.weights().rows() * l.weights().cols()) as u64)
+            .sum()
+    };
+    4 * pass(actor) + 6 * pass(critic)
+}
+
 /// Scratch buffers of one update, as the program's DDPG keeps them.
 #[derive(Default)]
 struct UpdateScratch {
@@ -327,25 +422,25 @@ struct UpdateScratch {
     d_action: Matrix,
 }
 
-/// A DDPG learner assembled from the `nn` and `rl` layers' public parts,
-/// so each phase of the update can be timed on its own. Built and updated
-/// exactly as `edgeslice_rl::Ddpg`.
-pub struct ReplayDdpg {
-    /// The actor μ.
-    pub actor: Mlp,
-    /// The critic Q.
-    pub critic: Mlp,
+/// A probe for the phase split of the DDPG update: a learner assembled
+/// from the `nn` and `rl` layers' public parts in the order of
+/// `Ddpg::update`, so each phase (sample, critic, actor, Adam, Polyak)
+/// can be timed on its own. `Ddpg::update` itself is one public call, so
+/// only a copy can be split; [`paired_updates`] checks how closely the
+/// copy's cost follows the program's.
+pub struct PhaseMirror {
+    actor: Mlp,
+    critic: Mlp,
     target_actor: Mlp,
     target_critic: Mlp,
     actor_opt: Adam,
     critic_opt: Adam,
     replay: ReplayBuffer,
-    noise: DecayingGaussian,
     config: DdpgConfig,
     scratch: UpdateScratch,
 }
 
-impl ReplayDdpg {
+impl PhaseMirror {
     /// `Ddpg::new`: actor, then critic, drawn from `rng`.
     pub fn new(state_dim: usize, action_dim: usize, config: DdpgConfig, rng: &mut StdRng) -> Self {
         let h = config.hidden;
@@ -367,7 +462,6 @@ impl ReplayDdpg {
             actor_opt: Adam::new(&actor, config.lr),
             critic_opt: Adam::new(&critic, config.lr),
             replay: ReplayBuffer::new(config.replay_capacity, state_dim, action_dim),
-            noise: DecayingGaussian::new(config.noise_sigma, config.noise_decay, 0.01),
             actor,
             critic,
             config,
@@ -375,63 +469,13 @@ impl ReplayDdpg {
         }
     }
 
-    /// GEMM floating-point operations of one update at batch `n`: four
-    /// actor-sized passes (target forward, forward, two for the backward)
-    /// and six critic-sized ones (target forward, TD forward and backward
-    /// twice over, policy forward, input-gradient backward).
-    pub fn update_flops(&self) -> u64 {
-        let n = self.config.batch_size as u64;
-        let pass = |net: &Mlp| -> u64 {
-            net.layers()
-                .iter()
-                .map(|l| 2 * n * (l.weights().rows() * l.weights().cols()) as u64)
-                .sum()
-        };
-        4 * pass(&self.actor) + 6 * pass(&self.critic)
-    }
-
-    /// `OrchestrationAgent::train` → `Ddpg::train`, step by step.
-    pub fn train(&mut self, env: &mut RaSliceEnv, steps: usize, rng: &mut StdRng, tr: &mut Tracer) {
-        env.set_randomize_coord(true);
-        let mut state = tr.time("env.reset", || env.reset(rng));
-        for step in 0..steps {
-            let action: Vec<f64> = if step < self.config.warmup {
-                tr.time("rl.warmup", || {
-                    (0..env.action_dim())
-                        .map(|_| rng.gen_range(0.0..1.0))
-                        .collect()
-                })
-            } else {
-                let mut a = tr.time("nn.actor_fwd", || self.actor.forward_one(&state));
-                tr.time("rl.noise", || self.noise.perturb(&mut a, rng));
-                a
-            };
-            let out = tr.time("env.step", || env.step(&action, rng));
-            tr.time("rl.observe", || {
-                self.replay.push(&Transition {
-                    state: state.clone(),
-                    action,
-                    reward: out.reward,
-                    next_state: out.next_state.clone(),
-                    done: out.done,
-                })
-            });
-            state = if out.done {
-                tr.time("env.reset", || env.reset(rng))
-            } else {
-                out.next_state
-            };
-            if step >= self.config.warmup {
-                tr.begin("rl.update");
-                self.update(rng, tr);
-                tr.end();
-            }
-        }
-        env.set_randomize_coord(false);
+    /// `Ddpg::observe`.
+    pub fn observe(&mut self, transition: &Transition) {
+        self.replay.push(transition);
     }
 
     /// `Ddpg::update`, phase by phase.
-    fn update(&mut self, rng: &mut StdRng, tr: &mut Tracer) {
+    pub fn update(&mut self, rng: &mut StdRng, tr: &mut Tracer) {
         let s = &mut self.scratch;
         let sampled = tr.time("rl.update.sample", || {
             self.replay
@@ -474,6 +518,7 @@ impl ReplayDdpg {
                 .forward_scratch(&s.batch.states, &mut s.actor_fwd);
             Matrix::hstack_into(&[&s.batch.states, s.actor_fwd.output()], &mut s.sa_mu);
             self.critic.forward_scratch(&s.sa_mu, &mut s.critic_pi);
+            std::hint::black_box(s.critic_pi.output().mean());
             s.d_q.resize_for(n, 1);
             s.d_q.fill(-1.0 / n as f64);
             self.critic.backward_input_scratch(&mut s.critic_pi, &s.d_q);
@@ -502,38 +547,68 @@ impl ReplayDdpg {
     }
 }
 
-/// Mirrors `EdgeSliceSystem::train(steps, rng)` under `Threaded`: draws
-/// the training master seed, then trains every RA on its own thread with
-/// its own tracer. Returns one tracer per RA.
-pub fn train(
-    replica: &mut Replica<ReplayDdpg>,
-    steps: usize,
-    rng: &mut StdRng,
-    origin: std::time::Instant,
-) -> Vec<Tracer> {
-    let master = rng.gen::<u64>();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = replica
-            .envs
-            .iter_mut()
-            .zip(&mut replica.policies)
-            .enumerate()
-            .map(|(j, (env, learner))| {
-                scope.spawn(move || {
-                    let mut tr = Tracer::new(origin, j as u32 + 1);
-                    let mut rng =
-                        StdRng::seed_from_u64(derive_stream_seed(master, DOMAIN_TRAIN, j as u64));
-                    tr.begin("bench.train_ra");
-                    learner.train(env, steps, &mut rng, &mut tr);
-                    tr.time("env.clear", || env.clear_queues());
-                    tr.end();
-                    tr
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("replay training thread panicked"))
-            .collect()
-    })
+/// The paired update probe: the program's `Ddpg` and a [`PhaseMirror`],
+/// built from the same seed and fed the same transitions from `env`, make
+/// `updates` updates each, alternating which goes first. The program's
+/// updates are spans named `rl.update`; the mirror's are `rl.mirror_update`
+/// with one child span per phase. Returns whether the two learners ended
+/// with the same parameters bit for bit.
+pub fn paired_updates(
+    env: &mut RaSliceEnv,
+    config: DdpgConfig,
+    seed: u64,
+    updates: usize,
+    tr: &mut Tracer,
+) -> bool {
+    let (sd, ad) = (env.state_dim(), env.action_dim());
+    let mut real = Ddpg::new(sd, ad, config, &mut StdRng::seed_from_u64(seed));
+    let mut mirror = PhaseMirror::new(sd, ad, config, &mut StdRng::seed_from_u64(seed));
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1));
+    let mut real_rng = StdRng::seed_from_u64(seed.wrapping_add(2));
+    let mut mirror_rng = real_rng.clone();
+    let warmup = config.batch_size;
+    env.set_randomize_coord(true);
+    let mut state = env.reset(&mut rng);
+    for step in 0..warmup + updates {
+        let action: Vec<f64> = if step < warmup {
+            (0..ad).map(|_| rng.gen_range(0.0..1.0)).collect()
+        } else {
+            real.explore(&state, &mut rng)
+        };
+        let out = env.step(&action, &mut rng);
+        let transition = Transition {
+            state: state.clone(),
+            action,
+            reward: out.reward,
+            next_state: out.next_state.clone(),
+            done: out.done,
+        };
+        real.observe(&transition);
+        mirror.observe(&transition);
+        state = if out.done {
+            env.reset(&mut rng)
+        } else {
+            out.next_state
+        };
+        if step >= warmup {
+            let mut update_real = |tr: &mut Tracer| {
+                tr.time("rl.update", || real.update(&mut real_rng));
+            };
+            let mut update_mirror = |tr: &mut Tracer| {
+                tr.begin("rl.mirror_update");
+                mirror.update(&mut mirror_rng, tr);
+                tr.end();
+            };
+            if step % 2 == 0 {
+                update_real(tr);
+                update_mirror(tr);
+            } else {
+                update_mirror(tr);
+                update_real(tr);
+            }
+        }
+    }
+    env.set_randomize_coord(false);
+    let digest = |a: &Mlp, c: &Mlp| crate::checks::params_digest(&[a, c]);
+    digest(real.actor(), real.critic()) == digest(&mirror.actor, &mirror.critic)
 }

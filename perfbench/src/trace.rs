@@ -130,18 +130,22 @@ impl Trace {
         }));
     }
 
-    /// Self time of every span: its duration minus the union of its
-    /// children's intervals, clipped to the span.
-    pub fn self_times(&self) -> Vec<u64> {
+    fn children(&self) -> Vec<Vec<(u64, u64)>> {
         let mut children: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.spans.len()];
         for s in &self.spans {
             if let Some(p) = s.parent {
                 children[p].push((s.start, s.end));
             }
         }
+        children
+    }
+
+    /// Self time of every span: its duration minus the union of its
+    /// children's intervals, clipped to the span.
+    pub fn self_times(&self) -> Vec<u64> {
         self.spans
             .iter()
-            .zip(children)
+            .zip(self.children())
             .map(|(s, kids)| s.duration() - covered(s.start, s.end, kids))
             .collect()
     }
@@ -155,18 +159,34 @@ impl Trace {
         out
     }
 
-    /// Share of recorded thread time spent inside program layers: the
-    /// layers' self time over the self time of every span, the
-    /// benchmark's glue included. On one thread the denominator is the
-    /// root span's wall time.
+    /// Share of the root spans' wall time during which at least one
+    /// thread was inside a program layer: the union of every non-glue
+    /// span's self intervals, over the union of the roots. On one thread
+    /// this is the layers' self time over the root's wall time; with
+    /// several, a thread that waits (in glue) while another works does not
+    /// lower it, and an instant when no thread is in a layer does.
     pub fn coverage(&self) -> f64 {
-        let layers = self.layer_self_ns();
-        let total: u64 = layers.values().sum();
-        let glue = layers.get(GLUE).copied().unwrap_or(0);
-        if total == 0 {
+        let mut work = Vec::new();
+        for (s, kids) in self.spans.iter().zip(self.children()) {
+            if s.layer() != GLUE {
+                work.extend(gaps(s.start, s.end, kids));
+            }
+        }
+        let roots: Vec<(u64, u64)> = self
+            .spans
+            .iter()
+            .filter(|s| s.parent.is_none())
+            .map(|s| (s.start, s.end))
+            .collect();
+        let (mut wall, mut busy) = (0, 0);
+        for (a, b) in union(roots) {
+            wall += b - a;
+            busy += covered(a, b, work.clone());
+        }
+        if wall == 0 {
             0.0
         } else {
-            (total - glue) as f64 / total as f64
+            busy as f64 / wall as f64
         }
     }
 
@@ -239,6 +259,35 @@ impl Trace {
     }
 }
 
+/// The union of `intervals` as sorted, disjoint intervals.
+fn union(mut intervals: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    intervals.sort_unstable();
+    let mut out: Vec<(u64, u64)> = Vec::new();
+    for (a, b) in intervals {
+        match out.last_mut() {
+            Some(last) if a <= last.1 => last.1 = last.1.max(b),
+            _ => out.push((a, b)),
+        }
+    }
+    out
+}
+
+/// The parts of `[start, end]` that no interval of `intervals` covers.
+fn gaps(start: u64, end: u64, intervals: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    let mut out = Vec::new();
+    let mut reach = start;
+    for (a, b) in union(intervals) {
+        if a > reach && reach < end {
+            out.push((reach, a.min(end)));
+        }
+        reach = reach.max(b);
+    }
+    if reach < end {
+        out.push((reach, end));
+    }
+    out
+}
+
 /// Length of the union of `intervals` clipped to `[start, end]`.
 fn covered(start: u64, end: u64, mut intervals: Vec<(u64, u64)>) -> u64 {
     intervals.sort_unstable();
@@ -301,6 +350,34 @@ mod tests {
         assert_eq!(trace.self_times()[0], 100 - 70 - 10);
         assert_eq!(covered(0, 10, vec![(2, 4), (3, 5), (8, 20)]), 5);
         assert_eq!(covered(0, 10, vec![]), 0);
+    }
+
+    #[test]
+    fn coverage_counts_each_instant_once_across_threads() {
+        // Thread 0 (the root) and thread 1 take turns working and
+        // waiting. Work covers [0,60) and [70,90) of [0,100): a wait on
+        // one thread while the other works costs nothing, the instants
+        // when nobody works do.
+        let mut thread1 = span("bench.serve", 0, 100, Some(0));
+        thread1.thread = 1;
+        let trace = Trace {
+            spans: vec![
+                span("bench.root", 0, 100, None),
+                thread1,
+                span("exec.work", 0, 40, Some(1)),
+                span("bench.wait", 40, 100, Some(1)),
+                span("net.recv", 30, 60, Some(0)),
+                span("bench.wait", 60, 95, Some(0)),
+                span("nn.fwd", 70, 90, Some(0)),
+            ],
+        };
+        assert!((trace.coverage() - 0.8).abs() < 1e-12);
+        assert_eq!(
+            gaps(0, 10, vec![(2, 4), (3, 5), (8, 20)]),
+            vec![(0, 2), (5, 8)]
+        );
+        assert_eq!(gaps(0, 10, vec![]), vec![(0, 10)]);
+        assert_eq!(union(vec![(5, 6), (0, 2), (1, 3)]), vec![(0, 3), (5, 6)]);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use edgeslice::{
     SystemConfig, WorkerNetOptions,
 };
 use edgeslice_nn::Mlp;
-use edgeslice_rl::{DdpgConfig, Environment, Technique};
+use edgeslice_rl::{Ddpg, DdpgConfig, Environment, Technique};
 use edgeslice_runtime::{
     CoordInfo, Engine, RaReport, RoundCoordinator, RoundTelemetry, RoundWorker, WireMsg,
 };
@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::checks::{self, Checks};
 use crate::netio::{self, TimedAcceptor};
-use crate::replica::{self, agent_replica, ReplayDdpg, Replica, Sink};
+use crate::replica::{self, agent_replica, Replica, Sink};
 use crate::stats::{self, interquartile_mean, median, Summary};
 use crate::trace::{Trace, Tracer};
 
@@ -56,8 +56,13 @@ pub const BLOCK: usize = 100;
 pub const SIM_SLICES: usize = 5;
 /// Paper simulation size.
 pub const SIM_RAS: usize = 10;
-/// `online-sim` requests per fresh system.
-pub const SEGMENT_ROUNDS: usize = 50;
+/// `online-sim` requests per fresh system. Every round scans the whole
+/// monitor history, so a round's monitor share grows with its position in
+/// the segment: measured on the sequential replay (2 vCPUs), about 1% at
+/// round 1, 7% at round 12, 13% at round 20, 49% at round 50 and 88% at
+/// round 400. Twelve keeps the monitor under a tenth of every round;
+/// `history-proto` carries the long-history cost.
+pub const SEGMENT_ROUNDS: usize = 12;
 /// Length of one `history-proto` run.
 pub const HISTORY_ROUNDS: usize = 1_000;
 /// `history-proto` checkpoint cadence.
@@ -65,9 +70,15 @@ pub const CHECKPOINT_EVERY: usize = 4;
 /// Rounds of one `net-uds` session (within the prototype's ADMM cap of
 /// 200 rounds, so no session stops early).
 pub const SESSION_ROUNDS: usize = 200;
-/// Constructions timed at the start of a run, of which the median is
-/// reported (where a workload does not set up repeatedly anyway).
-pub const SETUP_REPS: usize = 20;
+/// Set-up samples timed before a run's first unit of work and again after
+/// every unit, where a workload does not set up repeatedly anyway; the
+/// median of all of them is reported. Spread over the run, they see the
+/// same mix of host states as the rest of the run (on a shared host, one
+/// construction's cost can shift by a third within a second).
+pub const SETUP_REPS: usize = 4;
+/// Constructions per set-up sample: one prototype construction takes
+/// under a millisecond, too little to time steadily on its own.
+pub const SETUP_BATCH: usize = 25;
 /// Round latencies the request loops collect at least, so the reported
 /// tail is at least the 99th percentile.
 pub const MIN_LATENCY_SAMPLES: usize = 1_000;
@@ -225,16 +236,16 @@ fn secs(since: Instant) -> f64 {
     since.elapsed().as_secs_f64()
 }
 
-/// Times [`SETUP_REPS`] constructions. They run first, in a fresh
-/// process, so every run times them from the same allocator state.
-fn setup_samples<T>(mut build: impl FnMut() -> T) -> Vec<f64> {
-    (0..SETUP_REPS)
-        .map(|_| {
-            let t = Instant::now();
+/// Adds [`SETUP_REPS`] samples to `samples`, each the mean time of
+/// [`SETUP_BATCH`] constructions (each dropped before the next).
+fn sample_setup<T>(samples: &mut Vec<f64>, mut build: impl FnMut() -> T) {
+    for _ in 0..SETUP_REPS {
+        let t = Instant::now();
+        for _ in 0..SETUP_BATCH {
             drop(build());
-            secs(t)
-        })
-        .collect()
+        }
+        samples.push(secs(t) / SETUP_BATCH as f64);
+    }
 }
 
 /// Raw end-to-end measurements of an untraced run. A run's repetitions
@@ -279,14 +290,25 @@ impl EndToEnd {
             format!("only {n} round latencies: too few for any tail percentile")
         });
         let (tail, level) = lat.map_or((f64::NAN, f64::NAN), |s| (s.tail, s.tail_level));
-        out.metric("setup_s", median(&self.setups), "s");
+        // A run whose work failed before it measured anything reports
+        // NaN, which marks its result incorrect.
+        let or_nan = |v: &[f64], f: fn(&[f64]) -> f64| if v.is_empty() { f64::NAN } else { f(v) };
+        out.metric("setup_s", or_nan(&self.setups, median), "s");
         out.metric(
             "env_steps_per_s",
-            interquartile_mean(&self.step_rates),
+            or_nan(&self.step_rates, interquartile_mean),
             "1/s",
         );
-        out.metric("rounds_per_s", interquartile_mean(&self.round_rates), "1/s");
-        out.metric("round_ms_p50", interquartile_mean(&self.input_p50s), "ms");
+        out.metric(
+            "rounds_per_s",
+            or_nan(&self.round_rates, interquartile_mean),
+            "1/s",
+        );
+        out.metric(
+            "round_ms_p50",
+            or_nan(&self.input_p50s, interquartile_mean),
+            "ms",
+        );
         // Reported beside the gated metrics, not among them: on a shared
         // two-vCPU host the tail's run-to-run spread exceeds any usable
         // bound, and peak RSS is bimodal (it depends on which allocator
@@ -444,16 +466,15 @@ fn note_vs_taro(out: &mut Outcome, seeds: &[u64], evals: &[&RunReport]) {
 }
 
 fn train_proto(seed: u64, deadline: Instant, out: &mut Outcome) {
-    let mut e = EndToEnd {
-        setups: setup_samples(|| {
-            learned(
-                SystemConfig::prototype(),
-                &mut StdRng::seed_from_u64(seed),
-                SCHEDULER,
-            )
-        }),
-        ..EndToEnd::default()
+    let build = || {
+        learned(
+            SystemConfig::prototype(),
+            &mut StdRng::seed_from_u64(seed),
+            SCHEDULER,
+        )
     };
+    let mut e = EndToEnd::default();
+    sample_setup(&mut e.setups, build);
     let mut twins = TwinCheck::default();
     let (mut inputs, mut evals) = (Vec::new(), Vec::new());
     let mut cycles = 0;
@@ -502,6 +523,7 @@ fn train_proto(seed: u64, deadline: Instant, out: &mut Outcome) {
             evals.push(eval);
         }
         cycles += 1;
+        sample_setup(&mut e.setups, build);
     }
     note_vs_taro(out, &inputs, &evals.iter().collect::<Vec<_>>());
     out.note("cycles", cycles);
@@ -591,20 +613,18 @@ fn store_files(dir: &Path) -> (usize, u64) {
 
 fn history_proto(seed: u64, deadline: Instant, out: &mut Outcome) {
     let setup_dir = scratch_dir("history-setup");
-    let mut e = EndToEnd {
-        setups: setup_samples(|| {
-            let mut sys = learned(
-                history_config(),
-                &mut StdRng::seed_from_u64(seed),
-                SCHEDULER,
-            );
-            sys.set_checkpointing(&setup_dir, CHECKPOINT_EVERY)
-                .expect("checkpoint store opens");
-            sys
-        }),
-        ..EndToEnd::default()
+    let build = || {
+        let mut sys = learned(
+            history_config(),
+            &mut StdRng::seed_from_u64(seed),
+            SCHEDULER,
+        );
+        sys.set_checkpointing(&setup_dir, CHECKPOINT_EVERY)
+            .expect("checkpoint store opens");
+        sys
     };
-    let _ = std::fs::remove_dir_all(&setup_dir);
+    let mut e = EndToEnd::default();
+    sample_setup(&mut e.setups, build);
     let mut twins = TwinCheck::default();
     let mut runs = 0;
     let mut bytes = 0;
@@ -655,7 +675,9 @@ fn history_proto(seed: u64, deadline: Instant, out: &mut Outcome) {
         let digest = checks::report_digest(&report);
         twins.check(out, "long-run reports, same input", runs, digest);
         runs += 1;
+        sample_setup(&mut e.setups, build);
     }
+    let _ = std::fs::remove_dir_all(&setup_dir);
     out.note("long_runs", runs);
     out.note("store_bytes_per_run", bytes);
     e.finish(out);
@@ -667,36 +689,59 @@ struct Session {
     wall_s: f64,
     report: RunReport,
     latencies_ms: Vec<f64>,
-    seen: netio::Shared,
+    /// Traced only: the coordinator's tracer, then one per peer.
+    tracers: Vec<Tracer>,
+    /// Traced only: the coordinator's traffic.
+    messages: Vec<WireMsg>,
+    /// Traced only: received messages without a recorded send.
+    unmatched: usize,
 }
 
 /// A coordinator and two `serve_ra` peers over a fresh socket. With a
-/// tracer, the coordinator's links record spans from the first round on
-/// (set-up traffic is not part of the traced run) under a root span
-/// around `run_networked`.
-fn session(seed: u64, rounds: usize, tracer: Option<Tracer>) -> Session {
+/// trace origin, every link records spans from the first round on (set-up
+/// traffic is not part of the traced run): the coordinator's under a root
+/// span around `run_networked`, each peer's under its own root. A session
+/// that cannot set up, fails its run, loses a peer or has a peer miss
+/// rounds is an error, described.
+fn session(seed: u64, rounds: usize, origin: Option<Instant>) -> Result<Session, String> {
     let t0 = Instant::now();
     let dir = scratch_dir("uds");
-    let sock = dir.join("coord.sock");
-    let listener = NetListener::bind_uds(&sock).expect("socket binds inside the checkout");
+    let result = run_session(seed, rounds, origin, t0, &dir.join("coord.sock"));
+    let _ = std::fs::remove_dir_all(&dir);
+    result
+}
+
+fn run_session(
+    seed: u64,
+    rounds: usize,
+    origin: Option<Instant>,
+    t0: Instant,
+    sock: &Path,
+) -> Result<Session, String> {
+    let listener = NetListener::bind_uds(sock).map_err(|e| format!("binding the socket: {e}"))?;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sys = learned(SystemConfig::prototype(), &mut rng, Scheduler::Sequential);
     let n_ras = sys.config().n_ras;
-    let seen = netio::observe(None);
+    let seen = netio::observe();
     let mut net = NetCoordinator::new(n_ras, NetConfig::default(), Clock::wall());
     net.set_acceptor(Box::new(TimedAcceptor::new(
         ListenerAcceptor::new(listener, RetryPolicy::default()),
         Arc::clone(&seen),
     )));
     let injector = FaultInjector::none(n_ras, rounds);
-    let result = std::thread::scope(|scope| {
-        let peers: Vec<_> = (0..n_ras)
-            .map(|ra| {
+    std::thread::scope(|scope| {
+        let mut peers = Vec::with_capacity(n_ras);
+        // The coordinator lives in this closure: when it returns, early
+        // or not, the coordinator's links close and every peer ends.
+        let coordinated = (|| {
+            let mut net = net;
+            for ra in 0..n_ras {
                 let link =
-                    edgeslice::connect_uds(&sock, RetryPolicy::default(), Duration::from_secs(5))
-                        .expect("peer connects to the coordinator socket");
+                    edgeslice::connect_uds(sock, RetryPolicy::default(), Duration::from_secs(5))
+                        .map_err(|e| format!("peer {ra} connecting: {e}"))?;
+                let link = netio::Timed::new(link, Arc::clone(&seen), 1 + ra);
                 let injector = &injector;
-                scope.spawn(move || {
+                peers.push(scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let mut peer =
                         learned(SystemConfig::prototype(), &mut rng, Scheduler::Sequential);
@@ -707,49 +752,61 @@ fn session(seed: u64, rounds: usize, tracer: Option<Tracer>) -> Session {
                         link,
                         &WorkerNetOptions::default(),
                     )
-                })
-            })
-            .collect();
-        net.wait_registered(0).expect("both peers register");
-        let setup_s = secs(t0);
-        if let Some(mut tr) = tracer {
-            tr.begin("bench.run_networked");
-            netio::lock(&seen).tracer = Some(tr);
+                }));
+            }
+            net.wait_registered(0)
+                .map_err(|e| format!("peer registration: {e}"))?;
+            let setup_s = secs(t0);
+            if let Some(origin) = origin {
+                let mut tr = Tracer::new(origin, 0);
+                tr.begin("bench.run_networked");
+                netio::start_trace(&seen, tr, origin, n_ras);
+            }
+            let t = Instant::now();
+            let report = sys.run_networked(rounds, &mut rng, &injector, &mut net);
+            let end = Instant::now();
+            let tracers = netio::close_trace(&seen);
+            let report = report.map_err(|e| format!("networked run: {e}"))?;
+            Ok::<_, String>((setup_s, secs(t), end, report, tracers))
+        })();
+        let mut problems = Vec::new();
+        let mut served = Vec::new();
+        for (ra, peer) in peers.into_iter().enumerate() {
+            match peer.join() {
+                Ok(Ok(outcome)) => served.push((ra, outcome.rounds_served)),
+                Ok(Err(e)) => problems.push(format!("peer {ra}: {e}")),
+                Err(_) => problems.push(format!("peer {ra} panicked")),
+            }
         }
-        let t = Instant::now();
-        let report = sys.run_networked(rounds, &mut rng, &injector, &mut net);
-        let end = Instant::now();
-        let wall_s = secs(t);
-        netio::close_trace(&mut netio::lock(&seen));
-        let report = report.expect("networked run completes");
-        for peer in peers {
-            let served = peer
-                .join()
-                .expect("peer thread panicked")
-                .expect("peer serves until shutdown");
-            assert_eq!(
-                served.rounds_served,
-                report.rounds.len(),
-                "a peer missed rounds"
-            );
+        let (setup_s, wall_s, end, report, tracers) = match coordinated {
+            Ok(done) => done,
+            Err(e) => {
+                problems.insert(0, e);
+                return Err(problems.join("; "));
+            }
+        };
+        for (ra, n) in served {
+            if n != report.rounds.len() {
+                problems.push(format!(
+                    "peer {ra} served {n} of {} rounds",
+                    report.rounds.len()
+                ));
+            }
         }
-        let starts = netio::lock(&seen).round_starts.clone();
-        (
+        if !problems.is_empty() {
+            return Err(problems.join("; "));
+        }
+        let mut seen = netio::lock(&seen);
+        Ok(Session {
             setup_s,
             wall_s,
             report,
-            netio::round_latencies_ms(&starts, end),
-        )
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-    let (setup_s, wall_s, report, latencies_ms) = result;
-    Session {
-        setup_s,
-        wall_s,
-        report,
-        latencies_ms,
-        seen,
-    }
+            latencies_ms: netio::round_latencies_ms(&seen.round_starts, end),
+            tracers,
+            messages: std::mem::take(&mut seen.messages),
+            unmatched: seen.unmatched,
+        })
+    })
 }
 
 fn net_uds(seed: u64, deadline: Instant, out: &mut Outcome) {
@@ -764,7 +821,16 @@ fn net_uds(seed: u64, deadline: Instant, out: &mut Outcome) {
     let mut twins = TwinCheck::default();
     let mut sessions = 0;
     while e.latencies_ms.len() < MIN_LATENCY_SAMPLES || !done(sessions, deadline) {
-        let s = session(input_seed(seed, sessions), SESSION_ROUNDS, None);
+        let s = match session(input_seed(seed, sessions), SESSION_ROUNDS, None) {
+            Ok(s) => s,
+            Err(problem) => {
+                out.checks
+                    .require(false, || format!("networked session: {problem}"));
+                out.attempted += SESSION_ROUNDS;
+                out.failed += SESSION_ROUNDS;
+                break;
+            }
+        };
         e.setups.push(s.setup_s);
         let n = s.report.rounds.len();
         let config = SystemConfig::prototype();
@@ -825,6 +891,8 @@ struct Traced {
     store: (usize, u64),
     frames: Vec<WireMsg>,
     rounds: usize,
+    /// DDPG updates the program's learners made in the traced run.
+    updates: u64,
 }
 
 fn traced_train_proto(seed: u64, origin: Instant, out: &mut Outcome) -> Traced {
@@ -841,7 +909,7 @@ fn traced_train_proto(seed: u64, origin: Instant, out: &mut Outcome) -> Traced {
     let mut rng = StdRng::seed_from_u64(seed);
     let ddpg: DdpgConfig = AgentConfig::default().ddpg;
     let mut replica = Replica::new(config, &mut rng, |_, env, rng| {
-        ReplayDdpg::new(env.state_dim(), env.action_dim(), ddpg, rng)
+        Ddpg::new(env.state_dim(), env.action_dim(), ddpg, rng)
     });
     let mut main = Tracer::new(origin, 0);
     let t = Instant::now();
@@ -856,11 +924,11 @@ fn traced_train_proto(seed: u64, origin: Instant, out: &mut Outcome) -> Traced {
         trace.absorb(w, Some(0));
     }
 
-    let replay_actors: Vec<Mlp> = replica.policies.iter().map(|p| p.actor.clone()).collect();
+    let replay_actors: Vec<Mlp> = replica.policies.iter().map(|p| p.actor().clone()).collect();
     out.checks.same(
         "traced replay vs train: actor and RA-0 critic parameters",
         nets_digest(&actors, &critic),
-        nets_digest(&replay_actors, &replica.policies[0].critic),
+        nets_digest(&replay_actors, replica.policies[0].critic()),
     );
     out.checks.same(
         "traced replay vs train: evaluation report",
@@ -878,6 +946,7 @@ fn traced_train_proto(seed: u64, origin: Instant, out: &mut Outcome) -> Traced {
         store: (0, 0),
         frames: Vec::new(),
         rounds: replayed.rounds.len(),
+        updates: replica.policies.iter().map(Ddpg::updates).sum(),
     }
 }
 
@@ -885,7 +954,7 @@ fn traced_train_proto(seed: u64, origin: Instant, out: &mut Outcome) -> Traced {
 /// `Sequential` too; what `Threaded(2)` adds per call is the
 /// `engine.dispatch_us` probe.
 fn traced_online_sim(seed: u64, origin: Instant, out: &mut Outcome) -> Traced {
-    const SEGMENTS: usize = 4;
+    const SEGMENTS: usize = 16;
     let mut untraced_s = 0.0;
     let mut program = Vec::new();
     for _ in 0..SEGMENTS {
@@ -910,7 +979,9 @@ fn traced_online_sim(seed: u64, origin: Instant, out: &mut Outcome) -> Traced {
     let mut replayed = Vec::new();
     for (replica, rng) in &mut replicas {
         for _ in 0..SEGMENT_ROUNDS {
+            main.begin("bench.request");
             replayed.push(replica.run(1, rng, &mut main, None));
+            main.end();
         }
     }
     main.end();
@@ -922,6 +993,7 @@ fn traced_online_sim(seed: u64, origin: Instant, out: &mut Outcome) -> Traced {
     );
     let mut trace = Trace::default();
     trace.absorb(main, None);
+    note_monitor_share(out, &trace);
     Traced {
         trace,
         untraced_s,
@@ -931,7 +1003,35 @@ fn traced_online_sim(seed: u64, origin: Instant, out: &mut Outcome) -> Traced {
         store: (0, 0),
         frames: Vec::new(),
         rounds: replayed.len(),
+        updates: 0,
     }
+}
+
+/// Notes the monitor's share of a request by the request's position in its
+/// segment: over the whole segment, its first tenth and its last tenth.
+/// The history a round scans grows along the segment, so the last tenth
+/// shows what `SEGMENT_ROUNDS` lets the monitor cost at most.
+fn note_monitor_share(out: &mut Outcome, trace: &Trace) {
+    let requests = trace.durations_us("bench.request");
+    let monitor = trace.child_sums_us("bench.request", "monitor.query");
+    let tenth = (SEGMENT_ROUNDS / 10).max(1);
+    let share = |keep: &dyn Fn(usize) -> bool| -> f64 {
+        let (mut m, mut r) = (0.0, 0.0);
+        for (k, (&req, &mon)) in requests.iter().zip(&monitor).enumerate() {
+            if keep(k % SEGMENT_ROUNDS) {
+                m += mon;
+                r += req;
+            }
+        }
+        m / r
+    };
+    out.note("monitor.query_share", share(&|_| true));
+    out.note("monitor.query_share_first_tenth", share(&|p| p < tenth));
+    out.note(
+        "monitor.query_share_last_tenth",
+        share(&|p| p >= SEGMENT_ROUNDS - tenth),
+    );
+    out.note("segment_rounds", SEGMENT_ROUNDS);
 }
 
 /// Every file in `dir`, name and digest, sorted by name.
@@ -1013,19 +1113,31 @@ fn traced_history_proto(seed: u64, origin: Instant, out: &mut Outcome) -> Traced
         store: store_stats,
         frames: Vec::new(),
         rounds: replayed.rounds.len(),
+        updates: 0,
     }
 }
 
 /// A session is short, so the overhead compares the medians of several
 /// alternating untraced and traced sessions; the ledger is the last
-/// traced session's.
+/// traced session's. The peers' tracers hang under the coordinator's root
+/// span, so the ledger sees what the peers do while the coordinator waits.
 fn traced_net_uds(seed: u64, origin: Instant, out: &mut Outcome) -> Traced {
     const PAIRS: usize = 5;
     let (mut untraced_s, mut traced_s) = (Vec::new(), Vec::new());
     let mut last = None;
     for _ in 0..PAIRS {
-        let untraced = session(seed, SESSION_ROUNDS, None);
-        let traced = session(seed, SESSION_ROUNDS, Some(Tracer::new(origin, 0)));
+        let pair = session(seed, SESSION_ROUNDS, None)
+            .and_then(|u| Ok((u, session(seed, SESSION_ROUNDS, Some(origin))?)));
+        let (untraced, traced) = match pair {
+            Ok(pair) => pair,
+            Err(problem) => {
+                out.checks
+                    .require(false, || format!("networked session: {problem}"));
+                out.attempted += SESSION_ROUNDS;
+                out.failed += SESSION_ROUNDS;
+                break;
+            }
+        };
         out.checks.same(
             "traced vs untraced networked report",
             checks::report_digest(&untraced.report),
@@ -1035,16 +1147,28 @@ fn traced_net_uds(seed: u64, origin: Instant, out: &mut Outcome) -> Traced {
         traced_s.push(traced.wall_s);
         last = Some(traced);
     }
-    let traced = last.expect("PAIRS > 0");
-    let mut seen = netio::lock(&traced.seen);
-    let tr = seen
-        .tracer
-        .take()
-        .expect("the traced session keeps its tracer");
-    let frames = std::mem::take(&mut seen.messages);
-    drop(seen);
     let mut trace = Trace::default();
-    trace.absorb(tr, None);
+    let Some(traced) = last else {
+        return Traced {
+            trace,
+            untraced_s: f64::NAN,
+            traced_s: f64::NAN,
+            reports: Vec::new(),
+            monitor_records: 0,
+            store: (0, 0),
+            frames: Vec::new(),
+            rounds: 0,
+            updates: 0,
+        };
+    };
+    let mut tracers = traced.tracers.into_iter();
+    if let Some(coordinator) = tracers.next() {
+        trace.absorb(coordinator, None);
+    }
+    for peer in tracers {
+        trace.absorb(peer, Some(0));
+    }
+    out.note("net.unmatched_receives", traced.unmatched);
     let rounds = traced.report.rounds.len();
     Traced {
         trace,
@@ -1053,8 +1177,9 @@ fn traced_net_uds(seed: u64, origin: Instant, out: &mut Outcome) -> Traced {
         monitor_records: 0,
         reports: vec![traced.report],
         store: (0, 0),
-        frames,
+        frames: traced.messages,
         rounds,
+        updates: 0,
     }
 }
 
@@ -1063,18 +1188,24 @@ fn traced_net_uds(seed: u64, origin: Instant, out: &mut Outcome) -> Traced {
 /// Layer costs measured outside the workload's own flow, at its shapes:
 /// the engine's per-call dispatch, batched fleet inference, and — for
 /// layers a workload does not exercise — a short round replay with
-/// checkpoints, a short DDPG update run and the frame codec.
+/// checkpoints, paired DDPG updates (the program's and the phase
+/// mirror's) and the frame codec.
 struct Probes {
     trace: Trace,
     dispatch_us: Summary,
     fleet_fwd_us: Summary,
     frames: Vec<WireMsg>,
     flops: u64,
+    /// Whether the phase mirror ended with the program's parameters.
+    mirror_bit_identical: bool,
 }
 
 const PROBE_ROUNDS: usize = 8;
 const PROBE_REPS: usize = 300;
-const PROBE_UPDATES: usize = 32;
+const PROBE_UPDATES: usize = 64;
+/// How far (as a factor) the mirror's phase sum may stray from the
+/// program's update time before its phase split is refused.
+const MIRROR_RATIO_LIMIT: f64 = 2.0;
 
 impl Probes {
     fn measure(config: &SystemConfig, seed: u64, scheduler: Scheduler, origin: Instant) -> Self {
@@ -1096,14 +1227,13 @@ impl Probes {
         let report = replica.run(PROBE_ROUNDS, &mut rng, &mut tr, Some(sink));
         let _ = std::fs::remove_dir_all(&dir);
 
-        // A short training run whose warm-up is one batch.
-        let ddpg = DdpgConfig {
-            warmup: DdpgConfig::default().batch_size,
-            ..DdpgConfig::default()
-        };
+        // The program's update and the phase mirror, side by side.
+        let ddpg = AgentConfig::default().ddpg;
         let mut env = replica::make_env(config, &mut rng);
-        let mut learner = ReplayDdpg::new(env.state_dim(), env.action_dim(), ddpg, &mut rng);
-        learner.train(&mut env, ddpg.warmup + PROBE_UPDATES, &mut rng, &mut tr);
+        let mirror_bit_identical =
+            replica::paired_updates(&mut env, ddpg, seed, PROBE_UPDATES, &mut tr);
+        let shapes = Ddpg::new(env.state_dim(), env.action_dim(), ddpg, &mut rng);
+        let flops = replica::update_flops(shapes.actor(), shapes.critic(), ddpg.batch_size);
 
         // One round's frames: a broadcast and a report per RA.
         let mut frames = Vec::new();
@@ -1147,7 +1277,8 @@ impl Probes {
             dispatch_us,
             fleet_fwd_us,
             frames,
-            flops: learner.update_flops(),
+            flops,
+            mirror_bit_identical,
         }
     }
 }
@@ -1249,21 +1380,13 @@ fn report_layers(workload: Workload, t: Traced, probes: &Probes, out: &mut Outco
         out.note(&format!("{name}.tail_level"), summary.tail_level);
         summary.median
     };
-    let update_phase = |out: &mut Outcome, phase: &str| -> f64 {
-        let sums = t.trace.child_sums_us("rl.update", phase);
-        let sums = if sums.is_empty() {
-            out.note(&format!("{phase}.source"), "probe");
-            probes.trace.child_sums_us("rl.update", phase)
-        } else {
-            sums
-        };
-        out.note(&format!("{phase}.samples"), sums.len());
-        median(&sums)
-    };
-
-    let v = per_call(out, "rl.update");
-    out.metric("rl.update_us", v, "us");
-    out.metric("rl.updates", t.trace.count("rl.update") as f64, "count");
+    let update_us = per_call(out, "rl.update");
+    out.metric("rl.update_us", update_us, "us");
+    out.metric("rl.updates", t.updates as f64, "count");
+    // The phase split comes from the mirror of the update (the program's
+    // update is one call). It is trusted only while the mirror costs what
+    // the program's update costs, measured side by side in the probe.
+    let mut phase_sum = 0.0;
     for (phase, metric) in [
         ("rl.update.sample", "rl.update.sample_us"),
         ("rl.update.critic", "rl.update.critic_us"),
@@ -1271,9 +1394,34 @@ fn report_layers(workload: Workload, t: Traced, probes: &Probes, out: &mut Outco
         ("rl.update.adam", "rl.update.adam_us"),
         ("rl.update.polyak", "rl.update.polyak_us"),
     ] {
-        let v = update_phase(out, phase);
+        let sums = probes.trace.child_sums_us("rl.mirror_update", phase);
+        let v = median(&sums);
+        out.note(&format!("{phase}.samples"), sums.len());
+        phase_sum += v;
         out.metric(metric, v, "us");
     }
+    let program_us = probes
+        .trace
+        .summary_us("rl.update")
+        .expect("the probe times the program's updates")
+        .median;
+    let ratio = phase_sum / program_us;
+    out.note("rl.update.mirror_phase_sum_us", phase_sum);
+    out.note("rl.update.probe_program_us", program_us);
+    out.note("rl.update.mirror_ratio", ratio);
+    out.note(
+        "rl.update.mirror_bit_identical",
+        probes.mirror_bit_identical,
+    );
+    out.checks.require(
+        (1.0 / MIRROR_RATIO_LIMIT..=MIRROR_RATIO_LIMIT).contains(&ratio),
+        || {
+            format!(
+                "the update phases sum to {phase_sum:.1} us but the program's update takes \
+                 {program_us:.1} us: the phase mirror no longer follows Ddpg::update"
+            )
+        },
+    );
     out.metric("rl.update.gemm_flops", probes.flops as f64, "flop");
     let v = per_call(out, "nn.actor_fwd");
     out.metric("nn.actor_fwd_us", v, "us");
@@ -1313,7 +1461,11 @@ fn report_layers(workload: Workload, t: Traced, probes: &Probes, out: &mut Outco
     out.metric("frame.encode_us", median(&enc), "us");
     out.metric("frame.decode_us", median(&dec), "us");
     out.metric("frame.bytes_per_round", per_round_bytes, "B");
-    let sup = &t.reports.last().expect("a traced run reports").supervision;
+    let sup = t
+        .reports
+        .last()
+        .map(|r| r.supervision.clone())
+        .unwrap_or_default();
     out.metric("net.send_retries", sup.send_retries as f64, "count");
     out.metric("net.leases_expired", sup.leases_expired as f64, "count");
 
