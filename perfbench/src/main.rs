@@ -149,6 +149,10 @@ fn provenance(args: &Args) -> Value {
         ("execution", args.workload.execution().to_value()),
         ("threads", workloads::THREADS.to_value()),
         ("workload", args.workload.name().to_value()),
+        (
+            "listed_in_benchmark_json",
+            Workload::BENCHMARKED.contains(&args.workload).to_value(),
+        ),
         ("seed", args.seed.to_value()),
         ("seconds", args.seconds.to_value()),
         ("trace", args.trace.to_value()),
@@ -264,7 +268,7 @@ mod tests {
             .iter()
             .filter_map(|w| w.get_field("name"))
             .collect();
-        let expected: Vec<Value> = Workload::ALL
+        let expected: Vec<Value> = Workload::BENCHMARKED
             .iter()
             .map(|w| Value::Str(w.name().to_string()))
             .collect();

@@ -267,8 +267,9 @@ pub fn close_trace(seen: &Shared) -> Vec<Tracer> {
     tracers
 }
 
-/// Per-round wall times (ms): from each round's first broadcast to the
-/// next round's, the last round ending at `end`.
+/// Per-round wall times (ms) from round-start stamps (a round's first
+/// broadcast, or its first evaluation) to the next, the last round ending
+/// at `end`.
 pub fn round_latencies_ms(starts: &[Instant], end: Instant) -> Vec<f64> {
     starts
         .iter()

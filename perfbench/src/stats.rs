@@ -56,17 +56,29 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Interquartile mean: the mean of the values left after dropping the
-/// lowest and the highest quarter (none when there are fewer than four).
-/// Robust to a few disturbed values like a median, but it moves smoothly
-/// when values come from a mix of inputs with different costs.
-pub fn interquartile_mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "interquartile mean of no samples");
+/// Nearest-rank `pct`-th percentile: the value at rank
+/// `ceil(n * pct / 100)`, and the smallest value when that rank is below
+/// one.
+pub fn low_percentile(values: &[f64], pct: usize) -> f64 {
+    assert!(!values.is_empty(), "percentile of no samples");
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);
-    let cut = v.len() / 4;
-    let kept = &v[cut..v.len() - cut];
-    kept.iter().sum::<f64>() / kept.len() as f64
+    v[(v.len() * pct).div_ceil(100).max(1) - 1]
+}
+
+/// The quiet profile of repeated work: for every position (a round's or a
+/// window's index within one repetition), the low `pct`-th percentile of
+/// the values the repetitions hold there. Repetitions run at different
+/// moments, so each position's figure comes from moments when the shared
+/// host interfered least, and positions whose work differs (a growing
+/// history, a checkpoint round, the replay buffer's warm-up) are compared
+/// only with themselves. Positions beyond the shortest repetition are
+/// left out.
+pub fn quiet_profile(reps: &[Vec<f64>], pct: usize) -> Vec<f64> {
+    let positions = reps.iter().map(Vec::len).min().unwrap_or(0);
+    (0..positions)
+        .map(|p| low_percentile(&reps.iter().map(|r| r[p]).collect::<Vec<_>>(), pct))
+        .collect()
 }
 
 /// A timing summary: median, a tail percentile and the sample count.
@@ -157,11 +169,31 @@ mod tests {
     }
 
     #[test]
-    fn interquartile_mean_drops_the_outer_quarters() {
-        assert_eq!(interquartile_mean(&[100.0, 2.0, 3.0, 1.0, 4.0]), 3.0);
-        assert_eq!(interquartile_mean(&[4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert_eq!(interquartile_mean(&[1.0, 2.0, 6.0]), 3.0);
-        assert_eq!(interquartile_mean(&[5.0]), 5.0);
+    fn low_percentile_is_nearest_rank() {
+        let v: Vec<f64> = (1..=30).rev().map(f64::from).collect();
+        assert_eq!(low_percentile(&v, 10), 3.0);
+        assert_eq!(low_percentile(&v[..20], 10), 12.0);
+        assert_eq!(low_percentile(&v[..20], 25), 15.0);
+        assert_eq!(low_percentile(&[9.0, 1.5, 5.0, 3.0, 7.0], 10), 1.5);
+        assert_eq!(low_percentile(&[9.0, 1.5, 5.0, 3.0, 7.0], 25), 3.0);
+        assert_eq!(low_percentile(&[5.0], 25), 5.0);
+    }
+
+    #[test]
+    fn quiet_profile_compares_each_position_with_itself() {
+        // Position 1 costs ten times position 0. Eleven repetitions: the
+        // 10th percentile is the second smallest value at each position
+        // (the 25th the third), so the one disturbed repetition (the
+        // last) never sets it, and the one exceptionally quick value
+        // (position 0 of the first) does not either.
+        let mut reps: Vec<Vec<f64>> = (0..10)
+            .map(|k| vec![1.0 + 0.1 * f64::from(k), 10.0 + f64::from(k), 5.0])
+            .collect();
+        reps[0][0] = 0.5;
+        reps.push(vec![3.0, 30.0]);
+        assert_eq!(quiet_profile(&reps, 10), vec![1.1, 11.0]);
+        assert_eq!(quiet_profile(&reps, 25), vec![1.2, 12.0]);
+        assert!(quiet_profile(&[], 10).is_empty());
     }
 
     #[test]
