@@ -1,13 +1,15 @@
 //! The orchestration layer's bindings to the [`edgeslice_runtime`]
 //! execution engine: one [`RaExecWorker`] per resource autonomy (policy +
-//! environment + private RNG stream + fault view + checkpoints) and one
+//! environment + private RNG stream + fault view + checkpoints), one
 //! [`SystemExecCoordinator`] wrapping the ADMM coordinator and the system
-//! monitor.
+//! monitor, and [`WireGather`], which decodes the network gather's report
+//! bodies.
 //!
-//! Both the sequential and the threaded schedulers drive exactly this
-//! code, so `EdgeSliceSystem::run*` has a single round-loop implementation
-//! regardless of topology — and, because every worker reseeds its RNG per
-//! round from a domain-separated stream, the two topologies produce
+//! The engine's one round loop drives the coordinator through whichever
+//! gather runs the workers — inline, on shard threads, or as
+//! `EdgeSliceSystem::serve_ra` peers over the network — so every
+//! `EdgeSliceSystem::run*` shares this code. Because every worker reseeds
+//! its RNG per round from a domain-separated stream, all three produce
 //! bit-identical [`crate::RunReport`]s for the same seed, and a run
 //! resumed from a [`crate::CheckpointStore`] snapshot is bit-identical to
 //! one that was never interrupted.
@@ -15,8 +17,8 @@
 use std::time::Duration;
 
 use edgeslice_runtime::{
-    derive_stream_seed, Control, CoordInfo, DownCause, RaReport, RoundCoordinator, RoundTelemetry,
-    RoundWorker, DOMAIN_ROUND,
+    derive_stream_seed, Control, CoordInfo, DownCause, RaReport, RoundCoordinator, RoundGather,
+    RoundTelemetry, RoundWorker, DOMAIN_ORCH, DOMAIN_ROUND,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +32,7 @@ use crate::{
 };
 
 /// The policy a worker decides with.
-pub(crate) enum WorkerPolicy<'a> {
+enum WorkerPolicy<'a> {
     /// A trained per-RA DRL agent (decisions only; training never runs
     /// inside a coordination round).
     Learned(&'a OrchestrationAgent),
@@ -78,10 +80,70 @@ pub(crate) fn encode_body(body: &RaRoundBody) -> Result<Vec<u8>, crate::EdgeSlic
 /// Decodes a wire round body. A payload that framed correctly but fails
 /// to decode is a protocol bug or a foreign peer — a typed error, never
 /// a panic.
-pub(crate) fn decode_body(bytes: &[u8]) -> Result<RaRoundBody, crate::EdgeSliceError> {
+fn decode_body(bytes: &[u8]) -> Result<RaRoundBody, crate::EdgeSliceError> {
     let text = std::str::from_utf8(bytes)
         .map_err(|e| crate::EdgeSliceError::Serialization(format!("non-UTF-8 body: {e}")))?;
     serde_json::from_str(text).map_err(crate::EdgeSliceError::from)
+}
+
+/// The network gather as the coordinator sees it: the wrapped gather's
+/// rounds with every wire body decoded into an [`RaRoundBody`].
+pub(crate) struct WireGather<'g, G: ?Sized>(pub &'g mut G);
+
+impl<G: RoundGather<Body = Vec<u8>> + ?Sized> RoundGather for WireGather<'_, G> {
+    type Body = RaRoundBody;
+
+    fn run_round(
+        &mut self,
+        round: usize,
+        zys: &[Vec<f64>],
+        lifecycle: &[u8],
+    ) -> (Vec<Option<RaReport<RaRoundBody>>>, RoundTelemetry) {
+        let (raw, mut telemetry) = self.0.run_round(round, zys, lifecycle);
+        let slots = raw
+            .into_iter()
+            .map(|slot| {
+                let rep = slot?;
+                match rep.body.as_deref().map(decode_body).transpose() {
+                    Ok(body) => Some(RaReport {
+                        ra: rep.ra,
+                        round: rep.round,
+                        deadline_missed: rep.deadline_missed,
+                        body,
+                    }),
+                    // Framed correctly but undecodable: a foreign or buggy
+                    // peer. Drop the report, count it, keep the round going.
+                    Err(err) => {
+                        eprintln!(
+                            "edgeslice: dropping undecodable report body from ra {}: {err}",
+                            rep.ra
+                        );
+                        telemetry.discarded_reports += 1;
+                        None
+                    }
+                }
+            })
+            .collect();
+        (slots, telemetry)
+    }
+
+    fn shutdown(&mut self) {
+        self.0.shutdown();
+    }
+}
+
+/// What every RA's worker shares in one run.
+#[derive(Clone, Copy)]
+pub(crate) struct WorkerSettings<'a> {
+    pub injector: &'a FaultInjector,
+    /// The run's master seed; each worker derives its own stream from it.
+    pub master: u64,
+    pub period: usize,
+    pub project_actions: bool,
+    /// Global round index of this run's round 0 (monitor rounds keep
+    /// counting across runs).
+    pub round_base: usize,
+    pub straggle_sleep: Duration,
 }
 
 /// A per-RA execution worker: everything one resource autonomy needs to
@@ -116,53 +178,39 @@ pub(crate) struct RaExecWorker<'a> {
 }
 
 impl<'a> RaExecWorker<'a> {
-    #[allow(clippy::too_many_arguments)] // plain construction-time wiring
+    /// RA `ra`'s worker. It decides with `agent` (learned kinds; `None`
+    /// means TARO), or with `restored` when a run or train snapshot
+    /// supplied the policy — bit-identical either way, the checkpoint
+    /// stores the exact weights. `was_down` marks a worker resumed from a
+    /// snapshot where its RA was down (mid-outage or just panicked): its
+    /// next served round takes the rejoin path, exactly like the
+    /// uninterrupted worker would.
     pub(crate) fn new(
         ra: RaId,
         env: &'a mut RaSliceEnv,
-        policy: WorkerPolicy<'a>,
-        injector: &'a FaultInjector,
-        stream_seed: u64,
-        period: usize,
-        project_actions: bool,
-        round_base: usize,
-        straggle_sleep: Duration,
+        agent: Option<&'a OrchestrationAgent>,
+        restored: Option<PolicyCheckpoint>,
+        was_down: bool,
+        s: WorkerSettings<'a>,
     ) -> Self {
-        let n_slices = env.n_slices();
+        let stream_seed = derive_stream_seed(s.master, DOMAIN_ORCH, ra.0 as u64);
         Self {
             ra,
+            n_slices: env.n_slices(),
             env,
-            policy,
-            injector,
+            policy: agent.map_or(WorkerPolicy::Taro(Taro::new()), WorkerPolicy::Learned),
+            injector: s.injector,
             stream_seed,
             // Placeholder only: `run_round` reseeds before every draw.
             rng: StdRng::seed_from_u64(stream_seed),
-            period,
-            n_slices,
-            project_actions,
-            round_base,
+            period: s.period,
+            project_actions: s.project_actions,
+            round_base: s.round_base,
             checkpoint: None,
-            restored: None,
-            was_down: false,
-            straggle_sleep,
+            restored: restored.map(|ckpt| ckpt.into_frozen_policy(ra)),
+            was_down,
+            straggle_sleep: s.straggle_sleep,
         }
-    }
-
-    /// Marks the worker as freshly resumed from a snapshot where its RA
-    /// was down (mid-outage or just panicked): its next served round takes
-    /// the rejoin path, exactly like the uninterrupted worker would.
-    pub(crate) fn with_down_state(mut self, was_down: bool) -> Self {
-        self.was_down = was_down;
-        self
-    }
-
-    /// Installs a restored policy (from a run or train snapshot); the
-    /// worker decides with it instead of the live agent. Decisions are
-    /// bit-identical either way — the checkpoint stores the exact weights.
-    pub(crate) fn with_restored_policy(mut self, ckpt: PolicyCheckpoint) -> Self {
-        let ra = self.ra;
-        self.restored = Some(ckpt.into_frozen_policy(ra));
-        self
     }
 }
 
@@ -348,38 +396,45 @@ pub(crate) struct SystemExecCoordinator<'a> {
     pub report: RunReport,
 }
 
+/// The state a run's rounds start from: a fresh run's present state, or
+/// a snapshot boundary on resume.
+pub(crate) struct RunStart {
+    /// First engine-local round to execute.
+    pub first_round: usize,
+    /// Global round index of the run's round 0.
+    pub round_base: usize,
+    /// Per-RA round-boundary state.
+    pub workers: Vec<WorkerSnapshot>,
+    /// Caught panics per RA so far (restart budgets).
+    pub panic_counts: Vec<usize>,
+    /// The rounds (and supervision telemetry) already completed.
+    pub prefix: RunReport,
+}
+
 impl<'a> SystemExecCoordinator<'a> {
+    /// A coordinator over `start`'s state, re-installing `policies` (the
+    /// effective policy per RA) verbatim in its snapshots.
     pub(crate) fn new(
         coordinator: &'a mut PerformanceCoordinator,
         monitor: &'a mut SystemMonitor,
         slices: &'a [SliceSpec],
-        n_ras: usize,
         period: usize,
-        round_base: usize,
+        policies: Vec<Option<PolicyCheckpoint>>,
+        start: RunStart,
     ) -> Self {
         Self {
             coordinator,
             monitor,
             slices,
-            n_ras,
+            n_ras: start.workers.len(),
             period,
-            round_base,
-            worker_state: (0..n_ras)
-                .map(|j| WorkerSnapshot {
-                    ra: RaId(j),
-                    queues: Vec::new(),
-                    coordination: Vec::new(),
-                    global_t: 0,
-                    was_down: false,
-                    active: Vec::new(),
-                    rates: Vec::new(),
-                })
-                .collect(),
-            panic_counts: vec![0; n_ras],
-            policies: vec![None; n_ras],
+            round_base: start.round_base,
+            worker_state: start.workers,
+            panic_counts: start.panic_counts,
+            policies,
             sink: None,
             lifecycle: None,
-            report: RunReport::default(),
+            report: start.prefix,
         }
     }
 
@@ -389,23 +444,6 @@ impl<'a> SystemExecCoordinator<'a> {
         lifecycle: Option<&'a mut crate::workload::SliceLifecycle>,
     ) -> Self {
         self.lifecycle = lifecycle;
-        self
-    }
-
-    /// Seeds the coordinator with resume (or fresh-run) state: the per-RA
-    /// round-boundary snapshots, prior panic counts, effective policies,
-    /// and the already-completed report prefix.
-    pub(crate) fn with_state(
-        mut self,
-        worker_state: Vec<WorkerSnapshot>,
-        panic_counts: Vec<usize>,
-        policies: Vec<Option<PolicyCheckpoint>>,
-        prefix: RunReport,
-    ) -> Self {
-        self.worker_state = worker_state;
-        self.panic_counts = panic_counts;
-        self.policies = policies;
-        self.report = prefix;
         self
     }
 

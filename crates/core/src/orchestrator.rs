@@ -12,9 +12,9 @@ use std::time::Duration;
 use edgeslice_optim::{project_capacity, AdmmConfig, AdmmResiduals};
 use edgeslice_rl::Technique;
 use edgeslice_runtime::{
-    caps, derive_stream_seed, par_map, Control, Engine, Lease, NetCoordinator, NodeInfo, RaReport,
-    RoundCoordinator, RoundWorker, Scheduler, Supervisor, SupervisorConfig, Transport,
-    TransportError, WorkerCommand, WorkerSession, DOMAIN_ORCH, DOMAIN_TRAIN,
+    caps, derive_stream_seed, par_map, Control, Engine, Lease, NetCoordinator, NodeInfo,
+    RoundGather, RoundWorker, Scheduler, Supervisor, SupervisorConfig, Transport, TransportError,
+    WorkerCommand, WorkerSession, DOMAIN_TRAIN,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,8 +24,10 @@ use edgeslice_netsim::{
     AppProfile, ComputationModel, DiurnalTrace, FrameResolution, PoissonTraffic, TrafficSource,
 };
 
-use crate::exec::{RaExecWorker, SystemExecCoordinator, WorkerPolicy};
-use crate::store::{CheckpointStore, TrainSnapshot, WorkerSnapshot};
+use crate::exec::{
+    RaExecWorker, RaRoundBody, RunStart, SystemExecCoordinator, WireGather, WorkerSettings,
+};
+use crate::store::{CheckpointStore, RunSnapshot, TrainSnapshot, WorkerSnapshot};
 use crate::{
     AgentConfig, EdgeSliceError, FaultInjector, OrchestrationAgent, PerformanceCoordinator,
     PerformanceFunction, PolicyCheckpoint, QueuePenalty, RaEnvConfig, RaId, RaSliceEnv,
@@ -515,15 +517,7 @@ impl EdgeSliceSystem {
                     master_seed: master,
                     env_steps,
                     policy: PolicyCheckpoint::from_agent(unit.agent),
-                    env: WorkerSnapshot {
-                        ra: unit.ra,
-                        queues: unit.env.queues().to_vec(),
-                        coordination: unit.env.coordination().to_vec(),
-                        global_t: unit.env.global_t(),
-                        was_down: false,
-                        active: unit.env.slice_active().to_vec(),
-                        rates: unit.env.rate_overrides().to_vec(),
-                    },
+                    env: WorkerSnapshot::of_env(unit.ra, unit.env),
                 };
                 if let Err(err) = store.save_train(&snap) {
                     eprintln!(
@@ -753,7 +747,7 @@ impl EdgeSliceSystem {
         injector: &FaultInjector,
     ) -> RunReport {
         let master = rng.gen::<u64>();
-        self.run_rounds(max_rounds, master, injector, None)
+        self.run_rounds(max_rounds, master, injector, None, None)
     }
 
     /// Resumes an interrupted `run`/`run_with_faults` from the newest
@@ -787,35 +781,86 @@ impl EdgeSliceSystem {
     ) -> Result<RunReport, EdgeSliceError> {
         let every_k = self.checkpoint_every;
         self.set_checkpointing(dir, every_k)?;
-        let latest = self
-            .store
-            .as_ref()
-            .expect("invariant: set_checkpointing attached the store on the line above")
-            .latest_run()?;
+        let latest = self.latest_snapshot()?;
+        // Drawn whether or not a snapshot exists, so the caller's rng
+        // stays aligned with the interrupted program's seed stream.
+        let drawn_master = rng.gen::<u64>();
+        let Some(snap) = latest else {
+            return Ok(self.run_rounds(max_rounds, drawn_master, injector, None, None));
+        };
+        self.restore_snapshot(&snap, 0..self.config.n_ras)?;
+        self.coordinator.restore(&snap.coordinator)?;
+        // A pre-churn snapshot carries no slot activity: start from the
+        // restored workload machine's present state instead.
+        if snap.workers.first().is_some_and(|ws| ws.active.is_empty()) {
+            self.sync_lifecycle_into_substrate();
+        }
+        self.policy_overrides = snap.policies;
+        let mut prefix = RunReport {
+            rounds: snap.rounds,
+            supervision: snap.supervision,
+            slice_lifetimes: Vec::new(),
+        };
+        if snap.next_round >= max_rounds {
+            // The interrupted run had already finished these rounds; its
+            // lifecycle outcomes are the restored machine's.
+            if let Some(lc) = &self.workload {
+                prefix.slice_lifetimes = lc.lifetimes().to_vec();
+            }
+            return Ok(prefix);
+        }
+        let start = RunStart {
+            first_round: snap.next_round,
+            round_base: snap.round_base,
+            workers: snap.workers,
+            panic_counts: snap.panic_counts,
+            prefix,
+        };
+        Ok(self.run_rounds(max_rounds, snap.master_seed, injector, Some(start), None))
+    }
+
+    /// The newest snapshot in the attached store that validates (`None`
+    /// without a store), noting on stderr every newer file it skipped.
+    fn latest_snapshot(&self) -> Result<Option<RunSnapshot>, EdgeSliceError> {
+        let Some(store) = &self.store else {
+            return Ok(None);
+        };
+        let latest = store.latest_run()?;
         for (path, err) in &latest.rejected {
             eprintln!(
                 "edgeslice: skipping unreadable snapshot {}: {err}",
                 path.display()
             );
         }
-        // Drawn whether or not a snapshot exists, so the caller's rng
-        // stays aligned with the interrupted program's seed stream.
-        let drawn_master = rng.gen::<u64>();
-        let Some(snap) = latest.snapshot else {
-            return Ok(self.run_rounds(max_rounds, drawn_master, injector, None));
-        };
-        if snap.workers.len() != self.config.n_ras {
-            return Err(EdgeSliceError::SnapshotMismatch {
-                reason: format!(
-                    "snapshot has {} RAs, this system has {}",
-                    snap.workers.len(),
-                    self.config.n_ras
-                ),
-            });
+        Ok(latest.snapshot)
+    }
+
+    /// The snapshot-restore step behind `resume` and `serve_ra`. It
+    /// checks that `snap` comes from a system shaped like this one: one
+    /// worker state, policy and panic count per RA, the same slice slots,
+    /// and lifecycle state exactly when this system has a workload plan.
+    /// Only then does it restore the workload machine and rewind the
+    /// environments of `ras` to the snapshot's round boundary.
+    fn restore_snapshot(
+        &mut self,
+        snap: &RunSnapshot,
+        ras: std::ops::Range<usize>,
+    ) -> Result<(), EdgeSliceError> {
+        let n = self.config.n_ras;
+        for (what, len) in [
+            ("worker states", snap.workers.len()),
+            ("policies", snap.policies.len()),
+            ("panic counts", snap.panic_counts.len()),
+        ] {
+            if len != n {
+                return Err(EdgeSliceError::SnapshotMismatch {
+                    reason: format!("snapshot has {len} {what}, this system has {n} RAs"),
+                });
+            }
         }
         snap.validate_slices(&self.config.slices)?;
-        match (self.workload.as_mut(), snap.lifecycle) {
-            (Some(lc), Some(state)) => lc.restore(state)?,
+        match (&mut self.workload, &snap.lifecycle) {
+            (Some(lc), Some(state)) => lc.restore(state.clone())?,
             (Some(_), None) => {
                 return Err(EdgeSliceError::SnapshotMismatch {
                     reason: "this system has a workload plan but the snapshot carries no \
@@ -832,169 +877,81 @@ impl EdgeSliceSystem {
             }
             (None, None) => {}
         }
-        self.coordinator.restore(&snap.coordinator)?;
-        self.policy_overrides = snap.policies;
-        let mut prefix = RunReport {
-            rounds: snap.rounds,
-            supervision: snap.supervision,
-            slice_lifetimes: Vec::new(),
-        };
-        if snap.next_round >= max_rounds {
-            // The interrupted run had already finished these rounds; its
-            // lifecycle outcomes are the restored machine's.
-            if let Some(lc) = &self.workload {
-                prefix.slice_lifetimes = lc.lifetimes().to_vec();
+        // Slot activity and rate overrides are absent on pre-churn
+        // snapshots; the caller then falls back to the workload machine.
+        for (env, ws) in self.envs[ras.clone()].iter_mut().zip(&snap.workers[ras]) {
+            env.restore_round_state(ws.queues.clone(), &ws.coordination, ws.global_t);
+            if !ws.active.is_empty() {
+                env.restore_lifecycle(&ws.active, &ws.rates);
             }
-            return Ok(prefix);
         }
-        Ok(self.run_rounds(
-            max_rounds,
-            snap.master_seed,
-            injector,
-            Some(ResumeState {
-                first_round: snap.next_round,
-                round_base: snap.round_base,
-                worker_state: snap.workers,
-                panic_counts: snap.panic_counts,
-                prefix,
-            }),
-        ))
+        Ok(())
     }
 
-    /// The single round-loop implementation behind `run`,
-    /// `run_with_faults` and `resume`.
+    /// The set-up and tear-down around the engine's round loop, shared by
+    /// `run`, `run_with_faults`, `resume` and `run_networked`. `resume`
+    /// carries a snapshot's state (`None` starts fresh from the system's
+    /// present state); `net` is the gather of a networked run (`None`
+    /// runs this system's workers on its scheduler).
     fn run_rounds(
         &mut self,
         max_rounds: usize,
         master: u64,
         injector: &FaultInjector,
-        resume: Option<ResumeState>,
+        resume: Option<RunStart>,
+        net: Option<&mut dyn RoundGather<Body = RaRoundBody>>,
     ) -> RunReport {
-        let n_ras = self.config.n_ras;
-        let period = self.config.reward.period;
         for env in &mut self.envs {
             env.set_randomize_coord(false);
         }
-        let (first_round, round_base, worker_state, panic_counts, prefix) = match resume {
-            Some(state) => {
-                // Rewind every environment to the snapshot boundary,
-                // including its slot activity and rate overrides (absent
-                // on pre-churn snapshots: fall back to the restored
-                // workload machine's present state).
-                for (env, ws) in self.envs.iter_mut().zip(&state.worker_state) {
-                    env.restore_round_state(ws.queues.clone(), &ws.coordination, ws.global_t);
-                    if !ws.active.is_empty() {
-                        env.restore_lifecycle(&ws.active, &ws.rates);
-                    }
-                }
-                if state
-                    .worker_state
-                    .first()
-                    .is_some_and(|ws| ws.active.is_empty())
-                {
-                    self.sync_lifecycle_into_substrate();
-                }
-                (
-                    state.first_round,
-                    state.round_base,
-                    state.worker_state,
-                    state.panic_counts,
-                    state.prefix,
-                )
+        let start = resume.unwrap_or_else(|| {
+            // A fresh dynamic run starts from the workload machine's
+            // present state: initial slices active, planned arrivals
+            // pending (deactivated rows and slots).
+            self.sync_lifecycle_into_substrate();
+            RunStart {
+                first_round: 0,
+                round_base: self.monitor.rounds(),
+                workers: (self.envs.iter().enumerate())
+                    .map(|(j, env)| WorkerSnapshot::of_env(RaId(j), env))
+                    .collect(),
+                panic_counts: vec![0; self.config.n_ras],
+                prefix: RunReport::default(),
             }
-            None => {
-                let round_base = self.monitor.rounds();
-                // A fresh dynamic run starts from the workload machine's
-                // present state: initial slices active, planned arrivals
-                // pending (deactivated rows and slots).
-                self.sync_lifecycle_into_substrate();
-                // The initial snapshot state is the environments as they
-                // stand at run start (post-training baseline).
-                let worker_state = self
-                    .envs
-                    .iter()
-                    .enumerate()
-                    .map(|(j, env)| WorkerSnapshot {
-                        ra: RaId(j),
-                        queues: env.queues().to_vec(),
-                        coordination: env.coordination().to_vec(),
-                        global_t: env.global_t(),
-                        was_down: false,
-                        active: env.slice_active().to_vec(),
-                        rates: env.rate_overrides().to_vec(),
-                    })
-                    .collect();
-                (
-                    0,
-                    round_base,
-                    worker_state,
-                    vec![0; n_ras],
-                    RunReport::default(),
-                )
-            }
-        };
+        });
+        let first_round = start.first_round;
         let policies = self.effective_policies();
-        let project_actions = self.config.project_actions;
-        let straggle_sleep = self.straggle_sleep;
-        let mut workers: Vec<RaExecWorker<'_>> = Vec::with_capacity(n_ras);
-        match self.kind {
-            OrchestratorKind::Learned(_) => {
-                for (j, (env, agent)) in self.envs.iter_mut().zip(&self.agents).enumerate() {
-                    let mut worker = RaExecWorker::new(
-                        RaId(j),
-                        env,
-                        WorkerPolicy::Learned(agent),
-                        injector,
-                        derive_stream_seed(master, DOMAIN_ORCH, j as u64),
-                        period,
-                        project_actions,
-                        round_base,
-                        straggle_sleep,
-                    )
-                    .with_down_state(worker_state[j].was_down);
-                    if let Some(ckpt) = &self.policy_overrides[j] {
-                        worker = worker.with_restored_policy(ckpt.clone());
-                    }
-                    workers.push(worker);
-                }
-            }
-            OrchestratorKind::Taro => {
-                for (j, env) in self.envs.iter_mut().enumerate() {
-                    workers.push(
-                        RaExecWorker::new(
-                            RaId(j),
-                            env,
-                            WorkerPolicy::Taro(crate::Taro::new()),
-                            injector,
-                            derive_stream_seed(master, DOMAIN_ORCH, j as u64),
-                            period,
-                            project_actions,
-                            round_base,
-                            straggle_sleep,
-                        )
-                        .with_down_state(worker_state[j].was_down),
-                    );
-                }
-            }
+        let engine = Engine::new(self.scheduler)
+            .with_deadline(self.round_deadline)
+            .with_supervisor(self.supervision)
+            .with_prior_panics(start.panic_counts.clone());
+        let settings = self.worker_settings(injector, master, start.round_base);
+        let mut workers: Vec<RaExecWorker<'_>> = Vec::new();
+        if net.is_none() {
+            workers = (self.envs.iter_mut().zip(&start.workers).enumerate())
+                .map(|(j, (env, ws))| {
+                    let restored = self.policy_overrides[j].clone();
+                    let agent = self.agents.get(j);
+                    RaExecWorker::new(RaId(j), env, agent, restored, ws.was_down, settings)
+                })
+                .collect();
         }
         let mut exec = SystemExecCoordinator::new(
             &mut self.coordinator,
             &mut self.monitor,
             &self.config.slices,
-            n_ras,
-            period,
-            round_base,
+            self.config.reward.period,
+            policies,
+            start,
         )
-        .with_state(worker_state, panic_counts.clone(), policies, prefix)
         .with_workload(self.workload.as_mut());
         if let Some(store) = &self.store {
             exec = exec.with_sink(store, self.checkpoint_every, master);
         }
-        Engine::new(self.scheduler)
-            .with_deadline(self.round_deadline)
-            .with_supervisor(self.supervision)
-            .with_prior_panics(panic_counts)
-            .run_from(&mut workers, &mut exec, first_round, max_rounds);
+        match net {
+            Some(gather) => Engine::drive(gather, &mut exec, first_round, max_rounds),
+            None => engine.run_from(&mut workers, &mut exec, first_round, max_rounds),
+        };
         let mut report = exec.report;
         drop(workers);
         if let Some(lc) = &self.workload {
@@ -1005,6 +962,23 @@ impl EdgeSliceSystem {
             env.set_capacity_scale([1.0; 3]);
         }
         report
+    }
+
+    /// What every RA worker of this system shares in one run.
+    fn worker_settings<'a>(
+        &self,
+        injector: &'a FaultInjector,
+        master: u64,
+        round_base: usize,
+    ) -> WorkerSettings<'a> {
+        WorkerSettings {
+            injector,
+            master,
+            period: self.config.reward.period,
+            project_actions: self.config.project_actions,
+            round_base,
+            straggle_sleep: self.straggle_sleep,
+        }
     }
 
     /// The effective policy per RA — what a fresh process re-installs
@@ -1027,11 +1001,15 @@ impl EdgeSliceSystem {
     /// process) reached through `net`'s [`Transport`] links, registered on
     /// the ε-ORC-style lease plane.
     ///
-    /// The round protocol, ADMM folding, degraded-coordination policy and
-    /// checkpointing are exactly `run_with_faults`'s — the coordinator
-    /// side is transport-agnostic, so a loopback run and a UDS run of the
-    /// same seed and fault plan produce byte-identical [`RunReport`]s.
-    /// Failure semantics differ from in-process in one deliberate way: a
+    /// Once every peer has registered, the run is `run_with_faults`'s:
+    /// the same set-up, the engine's one round loop, and the same ADMM
+    /// folding, degraded-coordination policy, checkpointing and
+    /// tear-down. Only the gather differs — `net` carries each round to
+    /// the peers and their reports back — and the coordinator side is
+    /// transport-agnostic, so a healthy run equals the in-process run of
+    /// the same seed, and a loopback run and a UDS run of the same seed
+    /// and fault plan produce byte-identical [`RunReport`]s. Failure
+    /// semantics differ from in-process in one deliberate way: a
     /// vanished peer is detected by its *lapsed lease*
     /// ([`edgeslice_runtime::DownCause::LeaseExpired`], folded into
     /// [`SupervisionStats::leases_expired`] and the per-round `downed`
@@ -1041,7 +1019,8 @@ impl EdgeSliceSystem {
     ///
     /// One seed draw is consumed from `rng`, exactly like
     /// `run_with_faults`, so workers constructed from the same seed derive
-    /// the identical master seed in [`EdgeSliceSystem::serve_ra`].
+    /// the identical master seed in [`EdgeSliceSystem::serve_ra`]. The
+    /// fault plan acts on the worker side; `injector` is not consulted.
     ///
     /// # Errors
     ///
@@ -1056,98 +1035,20 @@ impl EdgeSliceSystem {
         injector: &FaultInjector,
         net: &mut NetCoordinator<T>,
     ) -> Result<RunReport, EdgeSliceError> {
-        let _ = injector; // the fault plan acts on the worker side
         let master = rng.gen::<u64>();
-        let n_ras = self.config.n_ras;
-        let period = self.config.reward.period;
-        for env in &mut self.envs {
-            env.set_randomize_coord(false);
-        }
-        let round_base = self.monitor.rounds();
-        self.sync_lifecycle_into_substrate();
-        let worker_state: Vec<WorkerSnapshot> = self
-            .envs
-            .iter()
-            .enumerate()
-            .map(|(j, env)| WorkerSnapshot {
-                ra: RaId(j),
-                queues: env.queues().to_vec(),
-                coordination: env.coordination().to_vec(),
-                global_t: env.global_t(),
-                was_down: false,
-                active: env.slice_active().to_vec(),
-                rates: env.rate_overrides().to_vec(),
-            })
-            .collect();
-        let policies = self.effective_policies();
         net.wait_registered(0).map_err(EdgeSliceError::Transport)?;
-        let mut exec = SystemExecCoordinator::new(
-            &mut self.coordinator,
-            &mut self.monitor,
-            &self.config.slices,
-            n_ras,
-            period,
-            round_base,
-        )
-        .with_state(worker_state, vec![0; n_ras], policies, RunReport::default())
-        .with_workload(self.workload.as_mut());
-        if let Some(store) = &self.store {
-            exec = exec.with_sink(store, self.checkpoint_every, master);
-        }
-        for round in 0..max_rounds {
-            let zys = exec.broadcast(round);
-            let lifecycle = exec.lifecycle_delta(round);
-            let (raw, mut telemetry) = net.run_round(round, &zys, &lifecycle);
-            let mut slots: Vec<Option<RaReport<crate::exec::RaRoundBody>>> =
-                Vec::with_capacity(n_ras);
-            for slot in raw {
-                let Some(rep) = slot else {
-                    slots.push(None);
-                    continue;
-                };
-                let body = match rep.body {
-                    None => None,
-                    Some(bytes) => match crate::exec::decode_body(&bytes) {
-                        Ok(body) => Some(body),
-                        Err(err) => {
-                            // Framed correctly but undecodable: a foreign
-                            // or buggy peer. Drop the report, count it,
-                            // keep the round going.
-                            eprintln!(
-                                "edgeslice: dropping undecodable report body from ra {}: {err}",
-                                rep.ra
-                            );
-                            telemetry.discarded_reports += 1;
-                            slots.push(None);
-                            continue;
-                        }
-                    },
-                };
-                slots.push(Some(RaReport {
-                    ra: rep.ra,
-                    round: rep.round,
-                    deadline_missed: rep.deadline_missed,
-                    body,
-                }));
-            }
-            let converged = exec.collect(round, slots, &telemetry);
-            if converged {
-                break;
-            }
-        }
-        net.shutdown();
-        let mut report = exec.report;
+        let mut report = self.run_rounds(
+            max_rounds,
+            master,
+            injector,
+            None,
+            Some(&mut WireGather(&mut *net)),
+        );
         let stats = net.stats();
         report.supervision.send_retries += stats.send_retries;
         report.supervision.sends_abandoned += stats.sends_abandoned;
         report.supervision.leases_expired += stats.leases_expired;
         report.supervision.rejoins += stats.rejoins;
-        if let Some(lc) = &self.workload {
-            report.slice_lifetimes = lc.lifetimes().to_vec();
-        }
-        for env in &mut self.envs {
-            env.set_capacity_scale([1.0; 3]);
-        }
         Ok(report)
     }
 
@@ -1197,74 +1098,47 @@ impl EdgeSliceSystem {
         let n_ras = self.config.n_ras;
         assert!(ra.0 < n_ras, "serve_ra: ra {} out of range {n_ras}", ra.0);
         let master = rng.gen::<u64>();
-        let period = self.config.reward.period;
         for env in &mut self.envs {
             env.set_randomize_coord(false);
         }
         // Re-sync from the newest checkpoint, if a store is attached and
-        // its snapshot belongs to this exact run (same master seed).
-        let mut resynced_from = None;
-        let mut round_base = self.monitor.rounds();
-        let mut panic_count = 0usize;
-        let mut policy_override = self.policy_overrides[ra.0].clone();
-        let mut was_down = false;
-        if let Some(store) = &self.store {
-            let latest = store.latest_run()?;
-            for (path, err) in &latest.rejected {
-                eprintln!(
-                    "edgeslice: skipping unreadable snapshot {}: {err}",
-                    path.display()
-                );
-            }
-            if let Some(snap) = latest.snapshot {
-                if snap.master_seed == master && snap.workers.len() == n_ras {
-                    let ws = &snap.workers[ra.0];
-                    self.envs[ra.0].restore_round_state(
-                        ws.queues.clone(),
-                        &ws.coordination,
-                        ws.global_t,
+        // its snapshot belongs to this exact run: same master seed, and a
+        // shape the restore step accepts as it rewinds this RA.
+        let snap = self
+            .latest_snapshot()?
+            .filter(|snap| snap.master_seed == master)
+            .filter(|snap| self.restore_snapshot(snap, ra.0..ra.0 + 1).is_ok());
+        let live_policy = self.policy_overrides[ra.0].clone();
+        let (round_base, panic_count, restored, was_down) = match &snap {
+            Some(snap) => (
+                snap.round_base,
+                snap.panic_counts[ra.0],
+                snap.policies[ra.0].clone().or(live_policy),
+                snap.workers[ra.0].was_down,
+            ),
+            None => {
+                // A fresh dynamic worker starts from the workload
+                // machine's present state; per-round lifecycle payloads
+                // converge it from there.
+                if let Some(lc) = &self.workload {
+                    self.envs[ra.0].apply_lifecycle(&lc.state()).expect(
+                        "invariant: set_workload validated the plan against this system's slices",
                     );
-                    if !ws.active.is_empty() {
-                        self.envs[ra.0].restore_lifecycle(&ws.active, &ws.rates);
-                    }
-                    was_down = ws.was_down;
-                    panic_count = snap.panic_counts[ra.0];
-                    policy_override = snap.policies[ra.0].clone().or(policy_override);
-                    round_base = snap.round_base;
-                    resynced_from = Some(snap.next_round);
                 }
+                (self.monitor.rounds(), 0, live_policy, false)
             }
-        }
-        // A fresh (non-resynced) dynamic worker starts from the workload
-        // machine's present state; per-round lifecycle payloads converge
-        // it from there.
-        if resynced_from.is_none() {
-            if let Some(lc) = &self.workload {
-                self.envs[ra.0].apply_lifecycle(&lc.state()).expect(
-                    "invariant: set_workload validated the plan against this system's slices",
-                );
-            }
-        }
-        let stream_seed = derive_stream_seed(master, DOMAIN_ORCH, ra.0 as u64);
-        let policy = match self.kind {
-            OrchestratorKind::Learned(_) => WorkerPolicy::Learned(&self.agents[ra.0]),
-            OrchestratorKind::Taro => WorkerPolicy::Taro(crate::Taro::new()),
         };
+        let resynced_from = snap.map(|snap| snap.next_round);
+        let settings = self.worker_settings(injector, master, round_base);
+        let agent = self.agents.get(ra.0);
         let mut worker = RaExecWorker::new(
             ra,
             &mut self.envs[ra.0],
-            policy,
-            injector,
-            stream_seed,
-            period,
-            self.config.project_actions,
-            round_base,
-            self.straggle_sleep,
-        )
-        .with_down_state(was_down);
-        if let Some(ckpt) = policy_override {
-            worker = worker.with_restored_policy(ckpt);
-        }
+            agent,
+            restored,
+            was_down,
+            settings,
+        );
         let mut supervisor = Supervisor::with_panic_counts(self.supervision, &[panic_count]);
         let capabilities = caps::RESYNC
             | match self.kind {
@@ -1391,21 +1265,6 @@ struct TrainUnit<'a> {
     agent: &'a mut OrchestrationAgent,
     env: &'a mut RaSliceEnv,
     rng: StdRng,
-}
-
-/// The state a resumed run re-enters the round loop with.
-struct ResumeState {
-    /// First engine-local round to execute.
-    first_round: usize,
-    /// Global round index of the interrupted run's round 0.
-    round_base: usize,
-    /// Per-RA round-boundary state from the snapshot.
-    worker_state: Vec<WorkerSnapshot>,
-    /// Caught panics per RA before the snapshot (restart budgets).
-    panic_counts: Vec<usize>,
-    /// The rounds (and supervision telemetry) completed before the
-    /// snapshot.
-    prefix: RunReport,
 }
 
 /// Projects a flat slice-major action onto per-resource capacity

@@ -71,6 +71,21 @@ pub struct WorkerSnapshot {
     pub rates: Vec<Option<f64>>,
 }
 
+impl WorkerSnapshot {
+    /// RA `ra`'s round-boundary state as `env` holds it now.
+    pub(crate) fn of_env(ra: RaId, env: &crate::RaSliceEnv) -> Self {
+        Self {
+            ra,
+            queues: env.queues().to_vec(),
+            coordination: env.coordination().to_vec(),
+            global_t: env.global_t(),
+            was_down: false,
+            active: env.slice_active().to_vec(),
+            rates: env.rate_overrides().to_vec(),
+        }
+    }
+}
+
 /// A complete, resumable picture of an interrupted `run`/`run_with_faults`
 /// call, written every K rounds by the coordinator task.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

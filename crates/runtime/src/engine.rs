@@ -1,6 +1,8 @@
-//! The round-based executor: a coordinator task driving RA workers either
-//! inline (sequential) or across worker threads with typed `mpsc`
-//! channels, per-round deadlines, and panic supervision.
+//! The round-based executor: one round loop ([`Engine::drive`]) whose
+//! broadcasts reach the RAs through a [`RoundGather`] — inline
+//! (sequential), across worker threads with typed `mpsc` channels, or
+//! over the network ([`crate::NetCoordinator`]) — with per-round
+//! deadlines and panic supervision.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -121,22 +123,6 @@ pub trait RoundCoordinator {
     ) -> bool;
 }
 
-/// Commands sent to a worker thread.
-enum ToWorker {
-    /// Run one round for each addressed RA on this thread.
-    Round(Vec<CoordInfo>),
-    /// A control message for every RA on this thread.
-    Control(Control),
-}
-
-/// Messages flowing back from worker threads: a healthy (or dark /
-/// straggling) report, or a typed supervision event for a worker that
-/// panicked and could not report at all.
-enum FromWorker<B> {
-    Report(RaReport<B>),
-    Down(WorkerDown),
-}
-
 /// The round-based execution engine. See the crate docs for the
 /// determinism contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,9 +176,11 @@ impl Engine {
         self
     }
 
-    /// The prior panic count for worker slot `j`.
-    fn prior_panics_for(&self, j: usize) -> usize {
-        self.prior_panics.get(j).copied().unwrap_or(0)
+    /// The prior panic counts for worker slots `slots`.
+    fn prior_panics(&self, slots: std::ops::Range<usize>) -> Vec<usize> {
+        slots
+            .map(|j| self.prior_panics.get(j).copied().unwrap_or(0))
+            .collect()
     }
 
     /// The scheduler in effect.
@@ -241,244 +229,301 @@ impl Engine {
         if workers.is_empty() || first_round >= end_round {
             return EngineReport::default();
         }
-        match self.scheduler {
-            Scheduler::Sequential => self.run_sequential(workers, coord, first_round, end_round),
-            // On a single-core host the threaded topology still pays the
-            // full channel round-trip per report while the OS interleaves
-            // the shard threads — strictly slower than inline execution.
-            // The determinism contract makes the two paths bit-identical,
-            // so fall back to the inline loop; `Threaded(1)`'s channel-
-            // debugging value only exists where threads can actually run
-            // concurrently.
-            Scheduler::Threaded(_) if host_parallelism() == 1 => {
-                self.run_sequential(workers, coord, first_round, end_round)
-            }
-            Scheduler::Threaded(_) => self.run_threaded(workers, coord, first_round, end_round),
+        let n = workers.len();
+        // On a single-core host the threaded topology still pays the full
+        // channel round-trip per report while the OS interleaves the shard
+        // threads — strictly slower than inline execution. The
+        // determinism contract makes the two bit-identical, so fall back
+        // to the inline gather; `Threaded(1)`'s channel-debugging value
+        // only exists where threads can actually run concurrently.
+        if self.scheduler == Scheduler::Sequential || host_parallelism() == 1 {
+            let prior = self.prior_panics(0..n);
+            let supervisor = Supervisor::with_panic_counts(self.supervision, &prior);
+            let mut gather = InlineGather {
+                workers,
+                supervisor,
+            };
+            return Self::drive(&mut gather, coord, first_round, end_round);
         }
+        // Shard threads own contiguous RA chunks, each with its own
+        // supervisor under the same per-slot policy as the inline gather,
+        // so panic semantics are scheduler-invariant.
+        let chunk_size = n.div_ceil(self.scheduler.threads(n).max(1));
+        let supervision = self.supervision;
+        std::thread::scope(|s| {
+            let (rep_tx, rep_rx) = mpsc::channel();
+            let cmd_txs = (workers.chunks_mut(chunk_size).enumerate())
+                .map(|(ci, shard)| {
+                    let (cmd_tx, cmd_rx) = mpsc::channel();
+                    let rep_tx = rep_tx.clone();
+                    let lo = ci * chunk_size;
+                    let prior = self.prior_panics(lo..lo + shard.len());
+                    s.spawn(move || worker_loop(shard, &cmd_rx, &rep_tx, supervision, prior));
+                    cmd_tx
+                })
+                .collect();
+            drop(rep_tx);
+            let mut gather = ThreadedGather {
+                cmd_txs,
+                rep_rx,
+                n,
+                chunk_size,
+                deadline: self.deadline,
+            };
+            Self::drive(&mut gather, coord, first_round, end_round)
+        })
     }
 
-    /// The reference topology: every worker inline, in RA order, each
-    /// round guarded by the supervisor so a panic downs one RA instead of
-    /// unwinding through the whole run.
-    fn run_sequential<W, C>(
-        &self,
-        workers: &mut [W],
+    /// The round loop — the only one. Per round, `coord` broadcasts,
+    /// `gather` delivers the broadcast and gathers the reports, and
+    /// `coord` folds them, possibly stopping early. After the last round
+    /// the gather shuts its RAs down.
+    pub fn drive<G, C>(
+        gather: &mut G,
         coord: &mut C,
         first_round: usize,
         end_round: usize,
     ) -> EngineReport
     where
-        W: RoundWorker,
-        C: RoundCoordinator<Body = W::Body>,
+        G: RoundGather + ?Sized,
+        C: RoundCoordinator<Body = G::Body>,
     {
-        let counts: Vec<usize> = (0..workers.len())
-            .map(|j| self.prior_panics_for(j))
-            .collect();
-        let mut supervisor = Supervisor::with_panic_counts(self.supervision, &counts);
         let mut report = EngineReport::default();
         for round in first_round..end_round {
             let zys = coord.broadcast(round);
             let lifecycle = coord.lifecycle_delta(round);
-            let mut telemetry = RoundTelemetry::default();
-            let reports = workers
-                .iter_mut()
-                .enumerate()
-                .map(|(j, w)| {
-                    let info = CoordInfo {
-                        round,
-                        ra: j,
-                        zy: zys[j].clone(),
-                        lifecycle: lifecycle.clone(),
-                    };
-                    match supervisor.guard(j, w, &info) {
-                        Ok(rep) => Some(rep),
-                        Err(down) => {
-                            telemetry.downs.push(down);
-                            None
-                        }
-                    }
-                })
-                .collect();
+            let (slots, telemetry) = gather.run_round(round, &zys, &lifecycle);
             report.rounds = round - first_round + 1;
             report.absorb(&telemetry);
-            if coord.collect(round, reports, &telemetry) {
+            if coord.collect(round, slots, &telemetry) {
                 break;
             }
         }
-        for w in workers.iter_mut() {
-            let _ = catch_unwind(AssertUnwindSafe(|| w.handle_control(&Control::Shutdown)));
-        }
+        gather.shutdown();
         report
     }
+}
 
-    /// The decentralized topology: worker threads own contiguous RA
-    /// shards; the coordinator broadcasts, then gathers reports from a
-    /// shared channel under the per-round deadline. Each shard thread
-    /// runs its own supervisor with the same per-slot policy as the
-    /// sequential path, so panic semantics are scheduler-invariant.
-    fn run_threaded<W, C>(
-        &self,
-        workers: &mut [W],
-        coord: &mut C,
-        first_round: usize,
-        end_round: usize,
-    ) -> EngineReport
-    where
-        W: RoundWorker,
-        C: RoundCoordinator<Body = W::Body>,
-    {
-        let n = workers.len();
-        let n_threads = self.scheduler.threads(n);
-        let chunk_size = n.div_ceil(n_threads.max(1));
-        let supervision = self.supervision;
-        std::thread::scope(|s| {
-            let (rep_tx, rep_rx) = mpsc::channel::<FromWorker<W::Body>>();
-            let mut cmd_txs = Vec::with_capacity(n_threads);
-            for (ci, shard) in workers.chunks_mut(chunk_size).enumerate() {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<ToWorker>();
-                cmd_txs.push(cmd_tx);
-                let rep_tx = rep_tx.clone();
-                let prior: Vec<usize> = (0..shard.len())
-                    .map(|k| self.prior_panics_for(ci * chunk_size + k))
-                    .collect();
-                s.spawn(move || worker_loop(shard, &cmd_rx, &rep_tx, supervision, prior));
-            }
-            drop(rep_tx);
+/// How a round reaches the RAs and their reports come back, for
+/// [`Engine::drive`]: inline, on shard threads, or over the network
+/// ([`crate::NetCoordinator`]).
+pub trait RoundGather {
+    /// The round-outcome payload carried in the gathered reports.
+    type Body;
 
-            let mut report = EngineReport::default();
-            for round in first_round..end_round {
-                let zys = coord.broadcast(round);
-                let lifecycle = coord.lifecycle_delta(round);
-                for (ci, cmd_tx) in cmd_txs.iter().enumerate() {
-                    let lo = ci * chunk_size;
-                    let hi = (lo + chunk_size).min(n);
-                    let infos = (lo..hi)
-                        .map(|j| CoordInfo {
-                            round,
-                            ra: j,
-                            zy: zys[j].clone(),
-                            lifecycle: lifecycle.clone(),
-                        })
-                        .collect();
-                    // A dead thread surfaces as a disconnect below.
-                    let _ = cmd_tx.send(ToWorker::Round(infos));
+    /// Delivers round `round`'s per-RA `z − y` payloads and lifecycle
+    /// payload, then returns one report slot per RA (`None`: no report)
+    /// and the round's telemetry, downs sorted by RA.
+    fn run_round(
+        &mut self,
+        round: usize,
+        zys: &[Vec<f64>],
+        lifecycle: &[u8],
+    ) -> (Vec<Option<RaReport<Self::Body>>>, RoundTelemetry);
+
+    /// Shuts every RA down after the last round.
+    fn shutdown(&mut self) {}
+}
+
+/// The reference gather: every worker inline, in RA order, each round
+/// guarded by the supervisor so a panic downs one RA instead of
+/// unwinding through the whole run.
+struct InlineGather<'w, W> {
+    workers: &'w mut [W],
+    supervisor: Supervisor,
+}
+
+impl<W: RoundWorker> RoundGather for InlineGather<'_, W> {
+    type Body = W::Body;
+
+    fn run_round(
+        &mut self,
+        round: usize,
+        zys: &[Vec<f64>],
+        lifecycle: &[u8],
+    ) -> (Vec<Option<RaReport<W::Body>>>, RoundTelemetry) {
+        let mut slots = Slots::new(self.workers.len(), round);
+        for (j, w) in self.workers.iter_mut().enumerate() {
+            let info = coord_info(round, j, zys, lifecycle);
+            match self.supervisor.guard(j, w, &info) {
+                Ok(rep) => slots.report(rep),
+                Err(down) => slots.down(down),
+            };
+        }
+        slots.finish()
+    }
+
+    fn shutdown(&mut self) {
+        shut_down(self.workers);
+    }
+}
+
+/// The decentralized gather: the coordinator sends each shard thread its
+/// RAs' broadcasts, then gathers reports and down events from a shared
+/// channel under the per-round deadline.
+struct ThreadedGather<B> {
+    cmd_txs: Vec<Sender<Vec<CoordInfo>>>,
+    rep_rx: Receiver<Result<RaReport<B>, WorkerDown>>,
+    n: usize,
+    chunk_size: usize,
+    deadline: Duration,
+}
+
+impl<B> RoundGather for ThreadedGather<B> {
+    type Body = B;
+
+    fn run_round(
+        &mut self,
+        round: usize,
+        zys: &[Vec<f64>],
+        lifecycle: &[u8],
+    ) -> (Vec<Option<RaReport<B>>>, RoundTelemetry) {
+        for (ci, cmd_tx) in self.cmd_txs.iter().enumerate() {
+            let lo = ci * self.chunk_size;
+            let infos = (lo..(lo + self.chunk_size).min(self.n))
+                .map(|j| coord_info(round, j, zys, lifecycle))
+                .collect();
+            // A dead thread surfaces as a disconnect below.
+            let _ = cmd_tx.send(infos);
+        }
+        // The round ends when all slots settle, the deadline expires, or
+        // every worker thread is gone.
+        let mut slots = Slots::new(self.n, round);
+        let mut settled = 0;
+        let deadline = RoundDeadline::after(self.deadline);
+        while settled < self.n {
+            match self.rep_rx.recv_timeout(deadline.remaining()) {
+                Ok(Ok(rep)) => settled += usize::from(slots.report(rep)),
+                Ok(Err(down)) => settled += usize::from(slots.down(down)),
+                Err(RecvTimeoutError::Timeout) => {
+                    slots.telemetry.deadline_expired = true;
+                    break;
                 }
-
-                let mut slots: Vec<Option<RaReport<W::Body>>> = (0..n).map(|_| None).collect();
-                let mut down_marked = vec![false; n];
-                let mut telemetry = RoundTelemetry::default();
-                // A slot settles on its report *or* its down event; the
-                // round ends when all slots settle, the deadline expires,
-                // or every worker thread is gone.
-                let mut settled = 0;
-                let deadline = RoundDeadline::after(self.deadline);
-                while settled < n {
-                    match rep_rx.recv_timeout(deadline.remaining()) {
-                        Ok(FromWorker::Report(rep))
-                            if rep.round == round
-                                && rep.ra < n
-                                && slots[rep.ra].is_none()
-                                && !down_marked[rep.ra] =>
-                        {
-                            let ra = rep.ra;
-                            slots[ra] = Some(rep);
-                            settled += 1;
-                        }
-                        Ok(FromWorker::Down(down))
-                            if down.round == round
-                                && down.ra < n
-                                && slots[down.ra].is_none()
-                                && !down_marked[down.ra] =>
-                        {
-                            down_marked[down.ra] = true;
-                            settled += 1;
-                            telemetry.downs.push(down);
-                        }
-                        // A stale report from a worker that missed an
-                        // earlier deadline, an out-of-range RA, or a
-                        // duplicate for a settled slot: dropped, but
-                        // counted — never a silent discard.
-                        Ok(_) => telemetry.discarded_reports += 1,
-                        Err(RecvTimeoutError::Timeout) => {
-                            telemetry.deadline_expired = true;
-                            break;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            // Every sender hung up: the unsettled workers
-                            // are not late, they are *gone*. Report each
-                            // one down instead of conflating this with a
-                            // deadline miss.
-                            telemetry.channel_disconnected = true;
-                            for (ra, slot) in slots.iter().enumerate() {
-                                if slot.is_none() && !down_marked[ra] {
-                                    telemetry.downs.push(WorkerDown {
-                                        ra,
-                                        round,
-                                        cause: DownCause::Disconnected,
-                                    });
-                                }
-                            }
-                            break;
+                Err(RecvTimeoutError::Disconnected) => {
+                    // Every sender hung up: the unsettled workers are not
+                    // late, they are *gone*. Report each one down instead
+                    // of conflating this with a deadline miss.
+                    slots.telemetry.channel_disconnected = true;
+                    for ra in 0..self.n {
+                        if slots.is_open(ra) {
+                            slots.telemetry.downs.push(WorkerDown {
+                                ra,
+                                round,
+                                cause: DownCause::Disconnected,
+                            });
                         }
                     }
-                }
-                // Down events from different shards interleave in arrival
-                // order; sort by RA so the telemetry sequence is identical
-                // to the sequential path's.
-                telemetry.downs.sort_by_key(|d| d.ra);
-                report.rounds = round - first_round + 1;
-                report.absorb(&telemetry);
-                if coord.collect(round, slots, &telemetry) {
                     break;
                 }
             }
-            for cmd_tx in &cmd_txs {
-                let _ = cmd_tx.send(ToWorker::Control(Control::Shutdown));
-            }
-            report
-        })
+        }
+        slots.finish()
+    }
+
+    fn shutdown(&mut self) {
+        // A closed command channel is the shard threads' shutdown.
+        self.cmd_txs.clear();
+    }
+}
+
+/// Round `round`'s message to RA `ra`.
+pub(crate) fn coord_info(round: usize, ra: usize, zys: &[Vec<f64>], lifecycle: &[u8]) -> CoordInfo {
+    CoordInfo {
+        round,
+        ra,
+        zy: zys.get(ra).cloned().unwrap_or_default(),
+        lifecycle: lifecycle.to_vec(),
+    }
+}
+
+/// One round's report slots as a gather fills them. A slot settles on
+/// its RA's report *or* down event for this round; anything else (a
+/// stale straggler, an out-of-range RA, a duplicate) is dropped, but
+/// counted — never a silent discard.
+pub(crate) struct Slots<B> {
+    /// The round being gathered.
+    pub(crate) round: usize,
+    slots: Vec<Option<RaReport<B>>>,
+    /// The round's telemetry so far; its downs settle their slots.
+    pub(crate) telemetry: RoundTelemetry,
+}
+
+impl<B> Slots<B> {
+    /// Open slots for `n` RAs in round `round`.
+    pub(crate) fn new(n: usize, round: usize) -> Self {
+        Self {
+            round,
+            slots: (0..n).map(|_| None).collect(),
+            telemetry: RoundTelemetry::default(),
+        }
+    }
+
+    /// Whether RA `ra`'s slot is still open.
+    pub(crate) fn is_open(&self, ra: usize) -> bool {
+        self.slots.get(ra).is_some_and(Option::is_none)
+            && !self.telemetry.downs.iter().any(|d| d.ra == ra)
+    }
+
+    /// Settles `rep` in its slot; returns whether it settled.
+    pub(crate) fn report(&mut self, rep: RaReport<B>) -> bool {
+        let settles = rep.round == self.round && self.is_open(rep.ra);
+        if settles {
+            let ra = rep.ra;
+            self.slots[ra] = Some(rep);
+        } else {
+            self.telemetry.discarded_reports += 1;
+        }
+        settles
+    }
+
+    /// Settles `down` in its RA's slot; returns whether it settled.
+    pub(crate) fn down(&mut self, down: WorkerDown) -> bool {
+        let settles = down.round == self.round && self.is_open(down.ra);
+        if settles {
+            self.telemetry.downs.push(down);
+        } else {
+            self.telemetry.discarded_reports += 1;
+        }
+        settles
+    }
+
+    /// The slots and telemetry, downs sorted by RA so the sequence does
+    /// not depend on which shard or link answered first.
+    pub(crate) fn finish(mut self) -> (Vec<Option<RaReport<B>>>, RoundTelemetry) {
+        self.telemetry.downs.sort_by_key(|d| d.ra);
+        (self.slots, self.telemetry)
     }
 }
 
 /// The per-thread worker loop: serve round commands for this thread's RA
-/// shard until shutdown (explicit, or the command channel closing). Every
-/// `run_round` and control delivery is guarded, so one panicking worker
-/// downs only its own RA — the shard thread and its channel stay alive.
+/// shard until the command channel closes. Every `run_round` is guarded,
+/// so one panicking worker downs only its own RA — the shard thread and
+/// its channel stay alive.
 fn worker_loop<W: RoundWorker>(
     shard: &mut [W],
-    cmd_rx: &Receiver<ToWorker>,
-    rep_tx: &Sender<FromWorker<W::Body>>,
+    cmd_rx: &Receiver<Vec<CoordInfo>>,
+    rep_tx: &Sender<Result<RaReport<W::Body>, WorkerDown>>,
     supervision: SupervisorConfig,
     prior_panics: Vec<usize>,
 ) {
     let base = shard.first().map_or(0, RoundWorker::ra);
     let mut supervisor = Supervisor::with_panic_counts(supervision, &prior_panics);
-    loop {
-        match cmd_rx.recv() {
-            Ok(ToWorker::Round(infos)) => {
-                for info in infos {
-                    let slot = info.ra - base;
-                    let msg = match supervisor.guard(slot, &mut shard[slot], &info) {
-                        Ok(rep) => FromWorker::Report(rep),
-                        Err(down) => FromWorker::Down(down),
-                    };
-                    if rep_tx.send(msg).is_err() {
-                        return; // Coordinator gone; nothing left to serve.
-                    }
-                }
-            }
-            Ok(ToWorker::Control(Control::Shutdown)) | Err(_) => {
-                for w in shard.iter_mut() {
-                    let _ = catch_unwind(AssertUnwindSafe(|| w.handle_control(&Control::Shutdown)));
-                }
-                return;
-            }
-            Ok(ToWorker::Control(ctl)) => {
-                for w in shard.iter_mut() {
-                    let _ = catch_unwind(AssertUnwindSafe(|| w.handle_control(&ctl)));
-                }
+    while let Ok(infos) = cmd_rx.recv() {
+        for info in infos {
+            let slot = info.ra - base;
+            let msg = supervisor.guard(slot, &mut shard[slot], &info);
+            if rep_tx.send(msg).is_err() {
+                return; // Coordinator gone; nothing left to serve.
             }
         }
+    }
+    shut_down(shard);
+}
+
+/// Delivers [`Control::Shutdown`] to every worker, containing panics.
+fn shut_down<W: RoundWorker>(workers: &mut [W]) {
+    for w in workers {
+        let _ = catch_unwind(AssertUnwindSafe(|| w.handle_control(&Control::Shutdown)));
     }
 }
 

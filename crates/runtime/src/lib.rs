@@ -11,11 +11,11 @@
 //! The engine is deliberately generic: it knows nothing about ADMM, DDPG
 //! or network slicing. It owns three concerns and nothing else:
 //!
-//! 1. **Topology** — a [`Scheduler`] picks between a single-threaded
-//!    in-process loop ([`Scheduler::Sequential`]) and `n` worker threads
-//!    ([`Scheduler::Threaded`]) multiplexing the RA workers. Both drive
-//!    the *same* round protocol, so a parallel run is bit-identical to a
-//!    sequential one whenever workers draw randomness from their own
+//! 1. **Topology** — one round loop ([`Engine::drive`]) reaches the RA
+//!    workers through a [`RoundGather`]: inline ([`Scheduler::Sequential`])
+//!    or on `n` worker threads ([`Scheduler::Threaded`]). Both run the
+//!    *same* loop, so a parallel run is bit-identical to a sequential
+//!    one whenever workers draw randomness from their own
 //!    [`derive_stream_seed`]-derived streams.
 //! 2. **The round protocol** — per round the coordinator broadcasts one
 //!    [`CoordInfo`] per RA, every worker runs its round and answers with a
@@ -48,12 +48,12 @@
 //! (deterministic in-memory [`LoopbackTransport`], or [`FramedTransport`]
 //! over UDS/TCP with a versioned handshake and bounded send retries), a
 //! [`RegistrationPlane`] tracks ε-ORC-style worker registrations with
-//! round-based leases, and a [`NetCoordinator`]/[`WorkerSession`] pair
-//! drives rounds over those links. A vanished process is detected by its
-//! *lapsed lease* — surfaced as [`DownCause::LeaseExpired`] through the
-//! same [`WorkerDown`] telemetry as an in-process panic — never by a mere
-//! socket disconnect, so the degraded-coordination path is identical in
-//! and out of process.
+//! round-based leases, and a [`NetCoordinator`] — the loop's third
+//! gather — drives rounds over those links to [`WorkerSession`] peers. A
+//! vanished process is detected by its *lapsed lease* — surfaced as
+//! [`DownCause::LeaseExpired`] through the same [`WorkerDown`] telemetry
+//! as an in-process panic — never by a mere socket disconnect, so the
+//! degraded-coordination path is identical in and out of process.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -69,7 +69,9 @@ mod supervisor;
 mod transport;
 
 pub use clock::{Clock, MockClock, RoundDeadline, TimePoint};
-pub use engine::{par_map, Engine, EngineReport, RoundCoordinator, RoundTelemetry, RoundWorker};
+pub use engine::{
+    par_map, Engine, EngineReport, RoundCoordinator, RoundGather, RoundTelemetry, RoundWorker,
+};
 pub use frame::{FrameError, WireMsg, PROTOCOL_VERSION};
 pub use msg::{Control, CoordInfo, RaReport};
 pub use net::{

@@ -3,11 +3,12 @@
 //! lease-based failure detection, and the [`WorkerSession`] its peers
 //! run.
 //!
-//! This is the multi-process counterpart of [`crate::Engine`]'s threaded
-//! path. The round protocol is identical — broadcast [`CoordInfo`],
-//! gather [`RaReport`]s under a deadline, hand the orchestration layer a
-//! [`RoundTelemetry`] — but peers are *processes*: they register, hold a
-//! lease, and can vanish without unwinding anything on the coordinator.
+//! [`NetCoordinator`] is the third [`RoundGather`] of [`crate::Engine`]'s
+//! one round loop, beside the inline and threaded gathers: each round it
+//! sends [`CoordInfo`]s out, gathers [`RaReport`]s under a deadline and
+//! hands the loop a [`RoundTelemetry`] — but its peers are *processes*:
+//! they register, hold a lease, and can vanish without unwinding anything
+//! on the coordinator.
 //!
 //! Failure taxonomy (the acceptance contract of the lease design):
 //!
@@ -34,12 +35,13 @@
 use std::time::Duration;
 
 use crate::clock::{Clock, RoundDeadline};
+use crate::engine::{coord_info, Slots};
 use crate::frame::{WireMsg, PROTOCOL_VERSION, REJECT_UNKNOWN_RA, REJECT_VERSION};
 use crate::msg::{Control, CoordInfo, RaReport};
 use crate::registration::{Lease, NodeInfo, RegStats, RegistrationPlane};
 use crate::supervisor::{DownCause, WorkerDown};
 use crate::transport::{LinkStats, Transport, TransportError};
-use crate::RoundTelemetry;
+use crate::{RoundGather, RoundTelemetry};
 
 /// Knobs for the networked coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,13 +255,15 @@ impl<T: Transport> NetCoordinator<T> {
     /// echoed in the `RegisterAck` so workers know where the run starts.
     pub fn wait_registered(&mut self, first_round: usize) -> Result<(), TransportError> {
         let deadline = RoundDeadline::after(self.config.registration_timeout);
+        // Registration settles no round: early reports only prove liveness.
+        let mut ignored = Slots::new(self.links.len(), first_round);
         loop {
             self.pump_joins();
             for ra in 0..self.links.len() {
                 if self.plane.is_registered(ra) {
                     continue;
                 }
-                self.poll_link(ra, first_round, first_round, None);
+                self.poll_link(ra, first_round, &mut ignored);
             }
             if self.plane.all_registered() {
                 return Ok(());
@@ -283,19 +287,13 @@ impl<T: Transport> NetCoordinator<T> {
     /// decides when the worker is down.
     fn send_round(&mut self, round: usize, zys: &[Vec<f64>], lifecycle: &[u8]) {
         for ra in 0..self.links.len() {
-            let zy = zys.get(ra).cloned().unwrap_or_default();
             let Some(link) = self.links.get_mut(ra).and_then(Option::as_mut) else {
                 continue;
             };
             if link.broken {
                 continue;
             }
-            let msg = WireMsg::Round(CoordInfo {
-                round,
-                ra,
-                zy,
-                lifecycle: lifecycle.to_vec(),
-            });
+            let msg = WireMsg::Round(coord_info(round, ra, zys, lifecycle));
             if link.t.send(&msg).is_err() {
                 link.broken = true;
                 self.stats.links_broken += 1;
@@ -303,49 +301,35 @@ impl<T: Transport> NetCoordinator<T> {
         }
     }
 
-    /// Polls link `ra` once and absorbs whatever arrives. Reports for
-    /// `round` settle into `gather` (when given); registrations are
-    /// acked with `next_round`. Returns `true` if a frame was absorbed.
-    fn poll_link(
-        &mut self,
-        ra: usize,
-        round: usize,
-        next_round: usize,
-        gather: Option<&mut GatherState>,
-    ) -> bool {
+    /// Polls link `ra` once and absorbs whatever arrives. Reports and
+    /// downs settle into `slots`; registrations are acked with
+    /// `next_round`.
+    fn poll_link(&mut self, ra: usize, next_round: usize, slots: &mut Slots<Vec<u8>>) {
         let poll = self.config.poll_interval;
         let msg = {
             let Some(link) = self.links.get_mut(ra).and_then(Option::as_mut) else {
-                return false;
+                return;
             };
             if link.broken {
-                return false;
+                return;
             }
             match link.t.recv_timeout(poll) {
                 Ok(msg) => msg,
-                Err(TransportError::Timeout) => return false,
+                Err(TransportError::Timeout) => return,
                 Err(_) => {
                     // EOF, reset, or garbage bytes: the peer is gone or
                     // babbling. Break the link; the lease keeps running.
                     link.broken = true;
                     self.stats.links_broken += 1;
-                    return false;
+                    return;
                 }
             }
         };
-        self.absorb(ra, msg, round, next_round, gather);
-        true
+        self.absorb(ra, msg, next_round, slots);
     }
 
-    /// Absorbs one frame from link `ra`.
-    fn absorb(
-        &mut self,
-        ra: usize,
-        msg: WireMsg,
-        round: usize,
-        next_round: usize,
-        gather: Option<&mut GatherState>,
-    ) {
+    /// Absorbs one frame from link `ra` into `slots`' round.
+    fn absorb(&mut self, ra: usize, msg: WireMsg, next_round: usize, slots: &mut Slots<Vec<u8>>) {
         let now = self.clock.now();
         match msg {
             WireMsg::Register {
@@ -355,9 +339,7 @@ impl<T: Transport> NetCoordinator<T> {
                 lease_rounds,
             } => {
                 if usize::try_from(mra) != Ok(ra) {
-                    if let Some(g) = gather {
-                        g.telemetry.discarded_reports += 1;
-                    }
+                    slots.telemetry.discarded_reports += 1;
                     return;
                 }
                 let info = NodeInfo {
@@ -370,7 +352,7 @@ impl<T: Transport> NetCoordinator<T> {
                     wall_backstop: self.config.wall_backstop,
                 };
                 let rejoin = matches!(
-                    self.plane.register(info, lease, round, now),
+                    self.plane.register(info, lease, slots.round, now),
                     Ok(crate::registration::Registration::Rejoin)
                 );
                 if let Some(link) = self.links.get_mut(ra).and_then(Option::as_mut) {
@@ -399,71 +381,41 @@ impl<T: Transport> NetCoordinator<T> {
                 deadline_missed,
                 body,
             } => {
-                let (Ok(mra), Ok(r)) = (usize::try_from(mra), usize::try_from(r)) else {
-                    if let Some(g) = gather {
-                        g.telemetry.discarded_reports += 1;
-                    }
+                let Some(r) = usize::try_from(r)
+                    .ok()
+                    .filter(|_| usize::try_from(mra) == Ok(ra))
+                else {
+                    slots.telemetry.discarded_reports += 1;
                     return;
                 };
-                if mra != ra {
-                    if let Some(g) = gather {
-                        g.telemetry.discarded_reports += 1;
-                    }
-                    return;
-                }
                 let _ = self.plane.note_alive(ra, r, now);
-                let Some(g) = gather else {
-                    return;
-                };
-                let open = g.slots.get(ra).is_some_and(Option::is_none)
-                    && !g.down_marked.get(ra).copied().unwrap_or(true);
-                if r == round && open {
-                    if let Some(slot) = g.slots.get_mut(ra) {
-                        *slot = Some(RaReport {
-                            ra,
-                            round: r,
-                            deadline_missed,
-                            body,
-                        });
-                    }
-                } else {
-                    // Stale (an earlier round's straggler) or duplicate:
-                    // dropped but counted, mirroring the engine.
-                    g.telemetry.discarded_reports += 1;
-                }
+                slots.report(RaReport {
+                    ra,
+                    round: r,
+                    deadline_missed,
+                    body,
+                });
             }
             WireMsg::Down {
                 ra: mra,
                 round: r,
                 cause,
             } => {
-                let (Ok(mra), Ok(r)) = (usize::try_from(mra), usize::try_from(r)) else {
+                let Some(r) = usize::try_from(r)
+                    .ok()
+                    .filter(|_| usize::try_from(mra) == Ok(ra))
+                else {
                     return;
                 };
-                if mra != ra {
-                    return;
-                }
                 // The process is alive (it caught its own panic): the
                 // lease stays fresh, the round is a typed down — exactly
                 // the in-process supervisor's semantics across the wire.
                 let _ = self.plane.note_alive(ra, r, now);
-                let Some(g) = gather else {
-                    return;
-                };
-                let open = g.slots.get(ra).is_some_and(Option::is_none)
-                    && !g.down_marked.get(ra).copied().unwrap_or(true);
-                if r == round && open {
-                    if let Some(m) = g.down_marked.get_mut(ra) {
-                        *m = true;
-                    }
-                    g.telemetry.downs.push(WorkerDown {
-                        ra,
-                        round: r,
-                        cause: DownCause::Panic(cause),
-                    });
-                } else {
-                    g.telemetry.discarded_reports += 1;
-                }
+                slots.down(WorkerDown {
+                    ra,
+                    round: r,
+                    cause: DownCause::Panic(cause),
+                });
             }
             // Anything else on an established link is protocol noise.
             WireMsg::Hello { .. }
@@ -471,65 +423,8 @@ impl<T: Transport> NetCoordinator<T> {
             | WireMsg::Reject { .. }
             | WireMsg::RegisterAck { .. }
             | WireMsg::Round(_)
-            | WireMsg::Ctl(_) => {
-                if let Some(g) = gather {
-                    g.telemetry.discarded_reports += 1;
-                }
-            }
+            | WireMsg::Ctl(_) => slots.telemetry.discarded_reports += 1,
         }
-    }
-
-    /// Runs one full round: broadcast, gather under the round deadline,
-    /// close the lease ledger. Returns the per-RA report slots and the
-    /// round telemetry — the same shape [`crate::RoundCoordinator::collect`]
-    /// consumes.
-    pub fn run_round(
-        &mut self,
-        round: usize,
-        zys: &[Vec<f64>],
-        lifecycle: &[u8],
-    ) -> (Vec<Option<RaReport<Vec<u8>>>>, RoundTelemetry) {
-        let n = self.links.len();
-        self.pump_joins();
-        self.send_round(round, zys, lifecycle);
-        let mut g = GatherState {
-            slots: (0..n).map(|_| None).collect(),
-            down_marked: vec![false; n],
-            telemetry: RoundTelemetry::default(),
-        };
-        let deadline = RoundDeadline::after(self.config.round_deadline);
-        loop {
-            // Waits on every *connected* peer, lease state notwithstanding:
-            // silence costs the deadline (observable, deterministic),
-            // never a silent skip.
-            let open: Vec<usize> = (0..n)
-                .filter(|&ra| {
-                    self.links
-                        .get(ra)
-                        .and_then(Option::as_ref)
-                        .is_some_and(|l| !l.broken)
-                        && g.slots.get(ra).is_some_and(Option::is_none)
-                        && !g.down_marked.get(ra).copied().unwrap_or(true)
-                })
-                .collect();
-            if open.is_empty() {
-                break;
-            }
-            if deadline.remaining().is_zero() {
-                g.telemetry.deadline_expired = true;
-                break;
-            }
-            self.pump_joins();
-            for ra in open {
-                self.poll_link(ra, round, round + 1, Some(&mut g));
-            }
-        }
-        let mut telemetry = g.telemetry;
-        let mut lease_downs = self.plane.end_round(round, self.clock.now());
-        telemetry.downs.append(&mut lease_downs);
-        telemetry.downs.sort_by_key(|d| d.ra);
-        self.harvest_link_stats();
-        (g.slots, telemetry)
     }
 
     /// Sends `Shutdown` to every connected peer (best-effort).
@@ -565,10 +460,56 @@ impl<T: Transport> NetCoordinator<T> {
     }
 }
 
-struct GatherState {
-    slots: Vec<Option<RaReport<Vec<u8>>>>,
-    down_marked: Vec<bool>,
-    telemetry: RoundTelemetry,
+/// The network gather: a round is a broadcast over the per-RA links, a
+/// gather under the round deadline, and the close of the lease ledger.
+impl<T: Transport> RoundGather for NetCoordinator<T> {
+    type Body = Vec<u8>;
+
+    fn run_round(
+        &mut self,
+        round: usize,
+        zys: &[Vec<f64>],
+        lifecycle: &[u8],
+    ) -> (Vec<Option<RaReport<Vec<u8>>>>, RoundTelemetry) {
+        let n = self.links.len();
+        self.pump_joins();
+        self.send_round(round, zys, lifecycle);
+        let mut slots = Slots::new(n, round);
+        let deadline = RoundDeadline::after(self.config.round_deadline);
+        loop {
+            // Waits on every *connected* peer, lease state notwithstanding:
+            // silence costs the deadline (observable, deterministic),
+            // never a silent skip.
+            let open: Vec<usize> = (0..n)
+                .filter(|&ra| {
+                    self.links
+                        .get(ra)
+                        .and_then(Option::as_ref)
+                        .is_some_and(|l| !l.broken)
+                        && slots.is_open(ra)
+                })
+                .collect();
+            if open.is_empty() {
+                break;
+            }
+            if deadline.remaining().is_zero() {
+                slots.telemetry.deadline_expired = true;
+                break;
+            }
+            self.pump_joins();
+            for ra in open {
+                self.poll_link(ra, round + 1, &mut slots);
+            }
+        }
+        let mut lease_downs = self.plane.end_round(round, self.clock.now());
+        slots.telemetry.downs.append(&mut lease_downs);
+        self.harvest_link_stats();
+        slots.finish()
+    }
+
+    fn shutdown(&mut self) {
+        NetCoordinator::shutdown(self);
+    }
 }
 
 /// What a worker's serve loop receives from the coordinator.

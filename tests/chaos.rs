@@ -476,3 +476,47 @@ fn generated_chaos_preset_runs_to_completion() {
         assert!((0.0..=1.0).contains(&r.served_fraction));
     }
 }
+
+/// A snapshot that passes its checksum but carries fewer per-RA policies
+/// or panic counts than the system has RAs is a typed mismatch on
+/// resume, never an index panic inside the round loop.
+#[test]
+fn checksum_valid_snapshot_with_short_per_ra_vectors_is_rejected() {
+    let dir = tmp_dir("short-vectors");
+    let make = |rng: &mut StdRng| {
+        EdgeSliceSystem::new(
+            SystemConfig::prototype(),
+            OrchestratorKind::Learned(Technique::Ddpg),
+            &quick_agent_config(),
+            rng,
+        )
+    };
+    let injector = FaultInjector::none(N_RAS, ROUNDS);
+    let mut rng = StdRng::seed_from_u64(37);
+    let mut victim = make(&mut rng);
+    victim.set_checkpointing(&dir, 2).unwrap();
+    let _ = victim.run_with_faults(4, &mut rng, &injector);
+    drop(victim);
+
+    let store = CheckpointStore::open(&dir).unwrap();
+    let valid = store.latest_run().unwrap().snapshot.unwrap();
+    assert_eq!(valid.next_round, 4);
+    let mut short_policies = valid.clone();
+    short_policies.policies.clear();
+    let mut short_panics = valid;
+    short_panics.panic_counts.truncate(1);
+    for (what, snap) in [("policies", short_policies), ("panic counts", short_panics)] {
+        // Re-saved through the store: the envelope and checksum are valid.
+        store.save_run(&snap).unwrap();
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut resumed = make(&mut rng);
+        let err = resumed
+            .resume(&dir, ROUNDS, &mut rng, &injector)
+            .unwrap_err();
+        assert!(
+            matches!(err, EdgeSliceError::SnapshotMismatch { .. }),
+            "short {what}: want SnapshotMismatch, got {err:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -301,3 +301,60 @@ fn respawned_worker_resyncs_from_checkpoint_and_finishes_the_run() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A healthy networked run — two `serve_ra` peers over loopback — equals
+/// the in-process run of the same seed byte for byte, for TARO and for an
+/// untrained learned DDPG system: the networked path is the engine's
+/// round loop with a different gather, not a separate implementation.
+#[test]
+fn healthy_networked_run_equals_the_in_process_run() {
+    const R: usize = 9;
+    let seed = 5;
+    for kind in [
+        OrchestratorKind::Taro,
+        OrchestratorKind::Learned(edgeslice_rl::Technique::Ddpg),
+    ] {
+        let make = move |rng: &mut StdRng| {
+            EdgeSliceSystem::new(
+                SystemConfig::prototype(),
+                kind,
+                &AgentConfig::default(),
+                rng,
+            )
+        };
+        let injector = FaultInjector::none(N_RAS, R);
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let expected = make(&mut rng).run_with_faults(R, &mut rng, &injector);
+
+        let (tx, acceptor) = channel_acceptor::<LoopbackTransport>();
+        let mut net = NetCoordinator::new(N_RAS, NetConfig::default(), Clock::wall());
+        net.set_acceptor(Box::new(acceptor));
+        let peers: Vec<_> = (0..N_RAS)
+            .map(|ra| {
+                let (coord_end, worker_end) = loopback_pair();
+                tx.send(coord_end).unwrap();
+                thread::spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let injector = FaultInjector::none(N_RAS, R);
+                    let opts = WorkerNetOptions::default();
+                    make(&mut rng)
+                        .serve_ra(RaId(ra), &mut rng, &injector, worker_end, &opts)
+                        .unwrap()
+                })
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let report = make(&mut rng)
+            .run_networked(R, &mut rng, &injector, &mut net)
+            .unwrap();
+        for peer in peers {
+            assert_eq!(peer.join().unwrap().rounds_served, report.rounds.len());
+        }
+        assert_eq!(
+            report.to_json().unwrap(),
+            expected.to_json().unwrap(),
+            "{kind:?}: networked and in-process runs must be byte-identical"
+        );
+    }
+}
