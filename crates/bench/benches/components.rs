@@ -14,7 +14,7 @@ use edgeslice_netsim::compute::{split_kernel, Kernel};
 use edgeslice_netsim::radio::{EnodeB, LteBand};
 use edgeslice_netsim::transport::{FlowMatch, IpAddr, ReconfigMode, SdnController};
 use edgeslice_netsim::{AppProfile, GridDataset, PoissonTraffic, RaCapacities};
-use edgeslice_nn::{Matrix, Mlp};
+use edgeslice_nn::{Matrix, Mlp, TrainScratch};
 use edgeslice_optim::{project_sum_halfspace, solve_projection_qp, AdmmConfig, QpConfig};
 use edgeslice_rl::{Ddpg, DdpgConfig, Environment, Transition};
 use rand::rngs::StdRng;
@@ -31,15 +31,14 @@ fn bench_nn(c: &mut Criterion) {
     c.bench_function("nn/actor_forward_batch512", |b| {
         b.iter(|| black_box(actor.forward(black_box(&xb))))
     });
+    let mut s = TrainScratch::new();
+    actor.forward_scratch(&xb, &mut s);
+    let d = Matrix::filled(512, 6, 1.0);
     c.bench_function("nn/actor_backward_batch512", |b| {
-        b.iter_batched(
-            || actor.forward_cached(&xb),
-            |cache| {
-                let d = Matrix::filled(512, 6, 1.0);
-                black_box(actor.backward(&cache, &d))
-            },
-            BatchSize::SmallInput,
-        )
+        b.iter(|| {
+            actor.backward_scratch(&mut s, black_box(&d));
+            black_box(s.grads().global_norm())
+        })
     });
 }
 

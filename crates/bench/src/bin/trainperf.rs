@@ -1,18 +1,19 @@
 //! Training hot-path throughput: the fused zero-allocation `_into` kernels
-//! vs the preserved pre-fusion reference path, on the paper's 2×128
-//! networks with batch 64.
+//! vs the naive reference in [`edgeslice_nn::oracle`], on the paper's
+//! 2×128 networks with batch 64.
 //!
 //! Four layers are measured:
 //!
 //! 1. **GEMM microkernels** — `matmul_into` / `matmul_at_b_into` /
-//!    `matmul_a_bt_into` against the allocating `matmul` / `matmul_tn` /
-//!    `matmul_nt` they replace, on the shapes one DDPG update produces.
+//!    `matmul_a_bt_into` against the oracle's allocating `matmul` /
+//!    `matmul_tn` / `matmul_nt`, on the shapes one DDPG update produces.
 //!    Large-shape rows (1024-wide hidden, batch 512) exercise the
 //!    cache-blocked dispatch that the paper-scale 128-wide shapes skip.
 //! 2. **Batched cross-RA inference** — one [`Mlp::forward_fleet_scratch`]
 //!    over 64 stacked RA states vs 64 solo [`Mlp::forward_one`] calls.
 //! 3. **End-to-end DDPG updates** — [`Ddpg::update`] (fused, scratch-arena)
-//!    vs [`Ddpg::update_reference`] (pre-PR), in train-steps per second.
+//!    vs [`Ddpg::update_oracle`] (built only from the oracle), in
+//!    train-steps per second.
 //! 4. **Bit-identity** — after the timed runs the two agents' actor and
 //!    critic parameters must agree bit for bit, so the speedup is never
 //!    bought with a numerics change.
@@ -29,8 +30,9 @@
 
 use std::time::{Duration, Instant};
 
+use edgeslice_nn::oracle;
 use edgeslice_nn::{Activation, FleetScratch, Matrix, Mlp, Parallelism, TILE_K, TILE_N};
-use edgeslice_rl::{Ddpg, DdpgConfig, Transition};
+use edgeslice_rl::{Ddpg, DdpgConfig, DdpgUpdate, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -138,7 +140,7 @@ fn bench_kernels(reps: usize, rng: &mut StdRng) -> Vec<KernelResult> {
     let forward = KernelResult {
         name: "matmul_a_bt (forward x·Wᵀ)",
         shape: format!("{BATCH}x{sa} * ({HIDDEN}x{sa})T"),
-        before_s: time_reps(reps, || x.matmul_nt(&w)[(0, 0)]).0,
+        before_s: time_reps(reps, || oracle::matmul_nt(&x, &w)[(0, 0)]).0,
         after_s: time_reps(reps, || {
             x.matmul_a_bt_into(&w, &mut out);
             out[(0, 0)]
@@ -148,7 +150,7 @@ fn bench_kernels(reps: usize, rng: &mut StdRng) -> Vec<KernelResult> {
     let grad_w = KernelResult {
         name: "matmul_at_b (grad dzᵀ·x)",
         shape: format!("({BATCH}x{HIDDEN})T * {BATCH}x{sa}"),
-        before_s: time_reps(reps, || dz.matmul_tn(&x)[(0, 0)]).0,
+        before_s: time_reps(reps, || oracle::matmul_tn(&dz, &x)[(0, 0)]).0,
         after_s: time_reps(reps, || {
             dz.matmul_at_b_into(&x, &mut out);
             out[(0, 0)]
@@ -158,7 +160,7 @@ fn bench_kernels(reps: usize, rng: &mut StdRng) -> Vec<KernelResult> {
     let grad_x = KernelResult {
         name: "matmul (grad dz·W)",
         shape: format!("{BATCH}x{HIDDEN} * {HIDDEN}x{sa}"),
-        before_s: time_reps(reps, || dz.matmul(&w)[(0, 0)]).0,
+        before_s: time_reps(reps, || oracle::matmul(&dz, &w)[(0, 0)]).0,
         after_s: time_reps(reps, || {
             dz.matmul_into(&w, &mut out);
             out[(0, 0)]
@@ -172,7 +174,7 @@ fn bench_kernels(reps: usize, rng: &mut StdRng) -> Vec<KernelResult> {
     let forward_h = KernelResult {
         name: "matmul_a_bt (hidden fwd)",
         shape: format!("{BATCH}x{HIDDEN} * ({HIDDEN}x{HIDDEN})T"),
-        before_s: time_reps(reps, || h.matmul_nt(&wh)[(0, 0)]).0,
+        before_s: time_reps(reps, || oracle::matmul_nt(&h, &wh)[(0, 0)]).0,
         after_s: time_reps(reps, || {
             h.matmul_a_bt_into(&wh, &mut out);
             out[(0, 0)]
@@ -182,7 +184,7 @@ fn bench_kernels(reps: usize, rng: &mut StdRng) -> Vec<KernelResult> {
     let grad_wh = KernelResult {
         name: "matmul_at_b (hidden grad)",
         shape: format!("({BATCH}x{HIDDEN})T * {BATCH}x{HIDDEN}"),
-        before_s: time_reps(reps, || dz.matmul_tn(&h)[(0, 0)]).0,
+        before_s: time_reps(reps, || oracle::matmul_tn(&dz, &h)[(0, 0)]).0,
         after_s: time_reps(reps, || {
             dz.matmul_at_b_into(&h, &mut out);
             out[(0, 0)]
@@ -205,7 +207,7 @@ fn bench_kernels_large(reps: usize, rng: &mut StdRng) -> Vec<KernelResult> {
     let forward = KernelResult {
         name: "matmul_a_bt (large fwd, blocked)",
         shape: format!("{BATCH_LARGE}x{HIDDEN_LARGE} * ({HIDDEN_LARGE}x{HIDDEN_LARGE})T"),
-        before_s: time_reps(reps, || x.matmul_nt(&w)[(0, 0)]).0,
+        before_s: time_reps(reps, || oracle::matmul_nt(&x, &w)[(0, 0)]).0,
         after_s: time_reps(reps, || {
             x.matmul_a_bt_into(&w, &mut out);
             out[(0, 0)]
@@ -215,7 +217,7 @@ fn bench_kernels_large(reps: usize, rng: &mut StdRng) -> Vec<KernelResult> {
     let grad_w = KernelResult {
         name: "matmul_at_b (large grad, blocked)",
         shape: format!("({BATCH_LARGE}x{HIDDEN_LARGE})T * {BATCH_LARGE}x{HIDDEN_LARGE}"),
-        before_s: time_reps(reps, || dz.matmul_tn(&x)[(0, 0)]).0,
+        before_s: time_reps(reps, || oracle::matmul_tn(&dz, &x)[(0, 0)]).0,
         after_s: time_reps(reps, || {
             dz.matmul_at_b_into(&x, &mut out);
             out[(0, 0)]
@@ -225,7 +227,7 @@ fn bench_kernels_large(reps: usize, rng: &mut StdRng) -> Vec<KernelResult> {
     let grad_x = KernelResult {
         name: "matmul (large grad, blocked)",
         shape: format!("{BATCH_LARGE}x{HIDDEN_LARGE} * {HIDDEN_LARGE}x{HIDDEN_LARGE}"),
-        before_s: time_reps(reps, || dz.matmul(&w)[(0, 0)]).0,
+        before_s: time_reps(reps, || oracle::matmul(&dz, &w)[(0, 0)]).0,
         after_s: time_reps(reps, || {
             dz.matmul_into(&w, &mut out);
             out[(0, 0)]
@@ -306,16 +308,18 @@ fn warmed_agent(seed: u64) -> Ddpg {
 }
 
 /// Runs `updates` steps of one update path, returning the wall time.
-fn time_updates(agent: &mut Ddpg, updates: usize, reference: bool) -> Duration {
+fn time_updates(
+    agent: &mut Ddpg,
+    updates: usize,
+    update: fn(&mut Ddpg, &mut StdRng) -> Option<DdpgUpdate>,
+) -> Duration {
     let mut rng = StdRng::seed_from_u64(7_777);
     let t0 = Instant::now();
     for _ in 0..updates {
-        let done = if reference {
-            agent.update_reference(&mut rng)
-        } else {
-            agent.update(&mut rng)
-        };
-        assert!(done.is_some(), "replay memory must be pre-filled");
+        assert!(
+            update(agent, &mut rng).is_some(),
+            "replay memory must be pre-filled"
+        );
     }
     t0.elapsed()
 }
@@ -368,10 +372,10 @@ fn main() {
     let mut fused = warmed_agent(42);
     let mut reference = warmed_agent(42);
     // One untimed update per path sizes the fused path's scratch arena.
-    time_updates(&mut fused, 1, false);
-    time_updates(&mut reference, 1, true);
-    let before = time_updates(&mut reference, args.updates, true);
-    let after = time_updates(&mut fused, args.updates, false);
+    time_updates(&mut fused, 1, Ddpg::update);
+    time_updates(&mut reference, 1, Ddpg::update_oracle);
+    let before = time_updates(&mut reference, args.updates, Ddpg::update_oracle);
+    let after = time_updates(&mut fused, args.updates, Ddpg::update);
     let before_sps = args.updates as f64 / before.as_secs_f64().max(1e-9);
     let after_sps = args.updates as f64 / after.as_secs_f64().max(1e-9);
     let speedup = after_sps / before_sps.max(1e-9);
@@ -381,13 +385,13 @@ fn main() {
         && bits(fused.critic()) == bits(reference.critic());
     assert!(
         identical,
-        "fused and reference updates diverged — kernel FP order changed"
+        "fused and oracle updates diverged — kernel FP order changed"
     );
 
     println!("\n{:>12}  {:>14}  {:>14}", "path", "steps/s", "total (s)");
     println!(
         "{:>12}  {:>14.2}  {:>14.3}",
-        "reference",
+        "oracle",
         before_sps,
         before.as_secs_f64()
     );
@@ -415,7 +419,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"train_throughput\",\n  \"config\": {{\"hidden\": {HIDDEN}, \"batch\": {BATCH}, \"state_dim\": {STATE_DIM}, \"action_dim\": {ACTION_DIM}, \"hidden_large\": {HIDDEN_LARGE}, \"batch_large\": {BATCH_LARGE}, \"n_ra\": {N_RA}, \"updates\": {}, \"kernel_reps\": {}}},\n  \"host_parallelism\": {host},\n  \"tile_k\": {TILE_K},\n  \"tile_n\": {TILE_N},\n  \"threads\": {threads},\n  \"smoke\": {},\n  \"kernels\": [\n{}\n  ],\n  \"before\": {{\"path\": \"update_reference\", \"total_s\": {:.6}, \"steps_per_s\": {:.6}}},\n  \"after\": {{\"path\": \"update\", \"total_s\": {:.6}, \"steps_per_s\": {:.6}}},\n  \"speedup\": {:.6},\n  \"params_bit_identical\": {identical}\n}}\n",
+        "{{\n  \"bench\": \"train_throughput\",\n  \"config\": {{\"hidden\": {HIDDEN}, \"batch\": {BATCH}, \"state_dim\": {STATE_DIM}, \"action_dim\": {ACTION_DIM}, \"hidden_large\": {HIDDEN_LARGE}, \"batch_large\": {BATCH_LARGE}, \"n_ra\": {N_RA}, \"updates\": {}, \"kernel_reps\": {}}},\n  \"host_parallelism\": {host},\n  \"tile_k\": {TILE_K},\n  \"tile_n\": {TILE_N},\n  \"threads\": {threads},\n  \"smoke\": {},\n  \"kernels\": [\n{}\n  ],\n  \"before\": {{\"path\": \"update_oracle\", \"total_s\": {:.6}, \"steps_per_s\": {:.6}}},\n  \"after\": {{\"path\": \"update\", \"total_s\": {:.6}, \"steps_per_s\": {:.6}}},\n  \"speedup\": {:.6},\n  \"params_bit_identical\": {identical}\n}}\n",
         args.updates,
         args.kernel_reps,
         args.smoke,

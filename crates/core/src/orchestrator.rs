@@ -858,6 +858,33 @@ impl EdgeSliceSystem {
                 });
             }
         }
+        // Per-slot vectors must match each RA's slot count before anything
+        // is mutated; the environment's restore would panic on them.
+        for (env, ws) in self.envs.iter().zip(&snap.workers) {
+            let slots = env.n_slices();
+            for (what, len) in [
+                ("queues", Some(ws.queues.len())),
+                ("coordination entries", Some(ws.coordination.len())),
+                (
+                    "activity flags",
+                    (!ws.active.is_empty()).then_some(ws.active.len()),
+                ),
+                (
+                    "rate overrides",
+                    (!ws.active.is_empty()).then_some(ws.rates.len()),
+                ),
+            ] {
+                if let Some(len) = len.filter(|&len| len != slots) {
+                    return Err(EdgeSliceError::SnapshotMismatch {
+                        reason: format!(
+                            "snapshot worker {} has {len} {what}, this system has {slots} \
+                             slice slots",
+                            ws.ra.0
+                        ),
+                    });
+                }
+            }
+        }
         snap.validate_slices(&self.config.slices)?;
         match (&mut self.workload, &snap.lifecycle) {
             (Some(lc), Some(state)) => lc.restore(state.clone())?,

@@ -11,15 +11,15 @@ use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{Tok, TokKind};
 use crate::parse::matching;
 
-/// Rule name for the determinism invariant (see [`determinism`]).
+/// Rule name for the determinism invariant (see `determinism`).
 pub const DETERMINISM: &str = "determinism";
-/// Rule name for the panic policy (see [`panic_policy`]).
+/// Rule name for the panic policy (see `panic_policy`).
 pub const PANIC_POLICY: &str = "panic-policy";
-/// Rule name for hot-path allocation discipline (see [`hot_path_alloc`]).
+/// Rule name for hot-path allocation discipline (see `hot_path_alloc`).
 pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
-/// Rule name for crate-root header hygiene (see [`crate_header`]).
+/// Rule name for crate-root header hygiene (see `crate_header`).
 pub const CRATE_HEADER: &str = "crate-header";
-/// Rule name for float equality comparisons (see [`float_eq`]).
+/// Rule name for float equality comparisons (see `float_eq`).
 pub const FLOAT_EQ: &str = "float-eq";
 /// Rule name for suppression hygiene (emitted by the driver, not a
 /// registry rule: suppressions are parsed once per file, before rules

@@ -84,18 +84,8 @@ impl Activation {
         }
     }
 
-    /// Applies the activation element-wise to a matrix.
-    pub fn forward(self, m: &Matrix) -> Matrix {
-        m.map(|x| self.eval(x))
-    }
-
-    /// Element-wise derivative matrix evaluated at the pre-activations `m`.
-    pub fn backward(self, m: &Matrix) -> Matrix {
-        m.map(|x| self.derivative(x))
-    }
-
     /// Applies the activation element-wise, writing into `out` (resized as
-    /// needed). Bit-identical to [`Activation::forward`], allocation-free.
+    /// needed). Allocation-free once `out` has warmed up.
     pub fn forward_into(self, z: &Matrix, out: &mut Matrix) {
         out.resize_for(z.rows(), z.cols());
         for (o, &x) in out.as_mut_slice().iter_mut().zip(z.as_slice()) {
@@ -103,9 +93,8 @@ impl Activation {
         }
     }
 
-    /// Writes `d_out ⊙ act'(z)` into `dz` (resized as needed): the fused
-    /// form of `d_out.hadamard(&act.backward(z))` with the same per-element
-    /// multiply order, so results are bit-identical.
+    /// Writes `d_out ⊙ act'(z)` into `dz` (resized as needed), one
+    /// `d * act.derivative(z)` product per element.
     ///
     /// # Panics
     ///
@@ -203,9 +192,12 @@ mod tests {
     #[test]
     fn matrix_forward_backward_shapes() {
         let m = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
+        let (mut out, mut dz) = (Matrix::zeros(2, 2), Matrix::zeros(2, 2));
         for act in ACTS {
-            assert_eq!(act.forward(&m).shape(), (1, 3));
-            assert_eq!(act.backward(&m).shape(), (1, 3));
+            act.forward_into(&m, &mut out);
+            assert_eq!(out.shape(), (1, 3));
+            act.backward_weighted_into(&m, &m, &mut dz);
+            assert_eq!(dz.shape(), (1, 3));
         }
     }
 }

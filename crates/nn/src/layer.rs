@@ -8,7 +8,7 @@ use crate::{Activation, Init, Matrix, Parallelism};
 /// A dense layer computing `act(x Wᵀ + b)` over a batch of row-vector inputs.
 ///
 /// Weights are stored `out × in` so a batch forward pass is a single
-/// [`Matrix::matmul_nt`].
+/// [`Matrix::matmul_a_bt_into`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dense {
     weights: Matrix,
@@ -121,48 +121,21 @@ impl Dense {
         self.weights.rows() * self.weights.cols() + self.bias.len()
     }
 
-    /// Computes the pre-activation `x Wᵀ + b` for a batch (`batch × in`).
-    pub fn pre_activation(&self, x: &Matrix) -> Matrix {
-        let mut z = x.matmul_nt(&self.weights);
-        z.add_row_broadcast(&self.bias);
-        z
-    }
-
-    /// Forward pass; returns the activated output (`batch × out`).
+    /// Forward pass; returns the activated output (`batch × out`). The
+    /// allocating convenience over [`Dense::forward_into`].
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        self.activation.forward(&self.pre_activation(x))
+        let (mut z, mut out) = (Matrix::default(), Matrix::default());
+        self.forward_into(x, &mut z, &mut out);
+        out
     }
 
-    /// Backward pass.
+    /// Fused forward pass writing the pre-activation `z = x Wᵀ + b` into
+    /// `z` and the activated output into `out` (both resized as needed).
     ///
-    /// Given the layer input `x`, the cached pre-activation `z`, and the
-    /// upstream gradient `d_out = ∂L/∂(activated output)`, returns the
-    /// parameter gradient and `∂L/∂x` for the previous layer. Gradients are
-    /// **sums** over the batch; callers divide by the batch size if they
-    /// want means.
-    pub fn backward(&self, x: &Matrix, z: &Matrix, d_out: &Matrix) -> (DenseGrad, Matrix) {
-        // dZ = d_out ⊙ act'(z)
-        let dz = d_out.hadamard(&self.activation.backward(z));
-        // dW = dZᵀ X  → (out × batch)(batch × in) = out × in
-        let dw = dz.matmul_tn(x);
-        let db = dz.sum_rows();
-        // dX = dZ W  → (batch × out)(out × in) = batch × in
-        let dx = dz.matmul(&self.weights);
-        (
-            DenseGrad {
-                weights: dw,
-                bias: db,
-            },
-            dx,
-        )
-    }
-
-    /// Fused forward pass writing the pre-activation into `z` and the
-    /// activated output into `out` (both resized as needed).
-    ///
-    /// Bit-identical to [`Dense::pre_activation`] + [`Dense::forward`]: the
-    /// product runs through [`Matrix::matmul_a_bt_into`], which preserves
-    /// the per-element accumulation order of [`Matrix::matmul_nt`].
+    /// The product runs through [`Matrix::matmul_a_bt_into`], which keeps
+    /// the per-element accumulation order of
+    /// [`oracle::matmul_nt`](crate::oracle::matmul_nt), so the pass is
+    /// bit-identical to the oracle's forward.
     pub fn forward_into(&self, x: &Matrix, z: &mut Matrix, out: &mut Matrix) {
         x.matmul_a_bt_into(&self.weights, z);
         z.add_row_broadcast(&self.bias);
@@ -180,10 +153,15 @@ impl Dense {
         self.activation.forward_into(z, out);
     }
 
-    /// Backward pass into caller-owned buffers: parameter gradients into
-    /// `grad`, the activation-weighted delta into `dz`, and `∂L/∂x` into
-    /// `dx`. Bit-identical to [`Dense::backward`], allocation-free once the
-    /// buffers have warmed up.
+    /// Backward pass into caller-owned buffers.
+    ///
+    /// Given the layer input `x`, the cached pre-activation `z`, and the
+    /// upstream gradient `d_out = ∂L/∂(activated output)`, writes the
+    /// parameter gradients into `grad`, the activation-weighted delta into
+    /// `dz`, and `∂L/∂x` into `dx`. Gradients are **sums** over the batch;
+    /// callers divide by the batch size if they want means. Bit-identical
+    /// to the oracle's backward, allocation-free once the buffers have
+    /// warmed up.
     pub fn backward_into(
         &self,
         x: &Matrix,
@@ -260,9 +238,12 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.5, -0.2, 0.8], &[1.0, 0.3, -0.7]]);
         // Loss = sum of outputs, so d_out = ones.
         let loss = |l: &Dense, x: &Matrix| l.forward(x).sum();
-        let z = l.pre_activation(&x);
+        let (mut z, mut out) = (Matrix::default(), Matrix::default());
+        l.forward_into(&x, &mut z, &mut out);
         let d_out = Matrix::filled(2, 2, 1.0);
-        let (grad, dx) = l.backward(&x, &z, &d_out);
+        let (mut grad, mut dz, mut dx) =
+            (DenseGrad::default(), Matrix::default(), Matrix::default());
+        l.backward_into(&x, &z, &d_out, &mut grad, &mut dz, &mut dx);
 
         let eps = 1e-6;
         for i in 0..2 {

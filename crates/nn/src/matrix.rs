@@ -37,7 +37,9 @@ const PANEL_LEN: usize = TILE_K * TILE_N;
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
 /// let b = Matrix::identity(2);
-/// assert_eq!(a.matmul(&b), a);
+/// let mut c = Matrix::default();
+/// a.matmul_into(&b, &mut c);
+/// assert_eq!(c, a);
 /// ```
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -202,95 +204,6 @@ impl Matrix {
         self.data.chunks_exact(self.cols)
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// Uses the `ikj` loop order so the inner loop walks both operands
-    /// contiguously.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                // lint:allow(float-eq): bit-exact zero-skip — part of the kernels' bit-identity contract (DESIGN.md §10)
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ik * b_kj;
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix product `selfᵀ * rhs` without materializing the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != rhs.rows`.
-    // lint:allow(transitive-alloc): allocating reference form by design — the `*_into` kernels are the hot-path variants
-    pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "matmul_tn dimension mismatch: ({}x{})ᵀ * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = rhs.row(k);
-            for (i, &a_ki) in a_row.iter().enumerate() {
-                // lint:allow(float-eq): bit-exact zero-skip — part of the kernels' bit-identity contract (DESIGN.md §10)
-                if a_ki == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ki * b_kj;
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix product `self * rhsᵀ` without materializing the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    // lint:allow(transitive-alloc): allocating reference form by design — the `*_into` kernels are the hot-path variants
-    pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_nt dimension mismatch: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out[(i, j)] = acc;
-            }
-        }
-        out
-    }
-
     /// The transpose of this matrix.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
@@ -326,11 +239,12 @@ impl Matrix {
 
     /// Matrix product `self * rhs` written into `out` (resized as needed).
     ///
-    /// Register-tiled via [`accumulate_row`], and cache-blocked via
+    /// Register-tiled (eight output columns per accumulator tile), and
+    /// cache-blocked via
     /// [`Matrix::matmul_blocked_into`] once both the inner dimension and
     /// the output width exceed the [`TILE_K`]/[`TILE_N`] tiles: every
     /// output element keeps the `k`-ascending accumulation of
-    /// [`Matrix::matmul`], so results are bit-identical on either path for
+    /// [`oracle::matmul`](crate::oracle::matmul), so results are bit-identical on either path for
     /// finite operands (DESIGN.md §14 covers the zero-skip elision) — only
     /// the allocation and the memory-bound accumulator are gone.
     ///
@@ -350,7 +264,7 @@ impl Matrix {
 
     /// [`Matrix::matmul_into`] with the cache-blocked schedule forced
     /// regardless of shape (the plain entry point picks it automatically
-    /// for large shapes). Bit-identical to [`Matrix::matmul`]: `k`-tiles
+    /// for large shapes). Bit-identical to [`oracle::matmul`](crate::oracle::matmul): `k`-tiles
     /// are visited in ascending order and partial sums round-trip through
     /// `out` unchanged, so every output element still accumulates its
     /// terms in ascending `k`.
@@ -394,7 +308,7 @@ impl Matrix {
     /// Matrix product `selfᵀ * rhs` written into `out` (resized as needed),
     /// without materializing the transpose.
     ///
-    /// Streamed `t`-outer like [`Matrix::matmul_tn`] (cache-blocked with a
+    /// Streamed `t`-outer like [`oracle::matmul_tn`](crate::oracle::matmul_tn) (cache-blocked with a
     /// transpose-packed A block for large shapes): every output element
     /// keeps the `k`-ascending accumulation, so results are bit-identical
     /// for finite operands (DESIGN.md §14 covers the zero-skip elision) —
@@ -434,7 +348,7 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_at_b_into`] with the cache-blocked schedule forced
-    /// regardless of shape. Bit-identical to [`Matrix::matmul_tn`] for the
+    /// regardless of shape. Bit-identical to [`oracle::matmul_tn`](crate::oracle::matmul_tn) for the
     /// same reason as [`Matrix::matmul_blocked_into`].
     ///
     /// # Panics
@@ -478,9 +392,9 @@ impl Matrix {
     /// The kernel is blocked 2×4: two rows of `self` against four rows of
     /// `rhs` give eight independent accumulator chains, which hides the
     /// floating-point add latency that serializes the single-accumulator
-    /// dot product in [`Matrix::matmul_nt`]. Every output element is still
+    /// dot product in [`oracle::matmul_nt`](crate::oracle::matmul_nt). Every output element is still
     /// one accumulator running over `k` in ascending order, so results are
-    /// bit-identical to `matmul_nt` — the blocking only reorders *which*
+    /// bit-identical to the oracle — the blocking only reorders *which*
     /// outputs are in flight, never the sum inside one output.
     ///
     /// # Panics
@@ -494,11 +408,11 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
         out.resize_for(m, n);
-        a_bt_rows(&self.data, k, 0, m, &rhs.data, n, &mut out.data);
+        a_bt_rows(&self.data, m, k, 0, m, &rhs.data, n, &mut out.data);
     }
 
     /// [`Matrix::matmul_a_bt_into`] with the cache-blocked schedule forced
-    /// regardless of shape. Bit-identical to [`Matrix::matmul_nt`]: every
+    /// regardless of shape. Bit-identical to [`oracle::matmul_nt`](crate::oracle::matmul_nt): every
     /// output is still one accumulator running over `k` ascending (partial
     /// sums round-trip through `out` between `k`-tiles unchanged).
     ///
@@ -533,28 +447,8 @@ impl Matrix {
         out.resize_for(m, n);
         let (a, b) = (&self.data, &rhs.data);
         crate::par::run_row_chunks(par, m, n, &mut out.data, |i0, nr, rows| {
-            a_bt_rows(a, k, i0, nr, b, n, rows);
+            a_bt_rows(a, m, k, i0, nr, b, n, rows);
         });
-    }
-
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "hadamard shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
     }
 
     /// Returns a new matrix with `f` applied to every element.
@@ -606,16 +500,8 @@ impl Matrix {
         }
     }
 
-    /// Column-wise sum, returned as a vector of length `cols`.
-    pub fn sum_rows(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// Column-wise sum written into `out` (resized to `cols` as needed).
-    ///
-    /// Same accumulation order as [`Matrix::sum_rows`], bit-identical.
+    /// Column-wise sum written into `out` (resized to `cols` as needed),
+    /// rows accumulated top to bottom.
     pub fn sum_rows_into(&self, out: &mut Vec<f64>) {
         out.resize(self.cols, 0.0);
         out.fill(0.0);
@@ -742,7 +628,7 @@ impl Matrix {
 }
 
 /// Single-accumulator dot product, `k` ascending — the scalar tail of
-/// [`Matrix::matmul_a_bt_into`], matching [`Matrix::matmul_nt`] bit for bit.
+/// [`Matrix::matmul_a_bt_into`], matching [`oracle::matmul_nt`](crate::oracle::matmul_nt) bit for bit.
 #[inline]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = 0.0;
@@ -754,8 +640,8 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// Computes one output row `out[j] = Σ_t a[t] · b[t·n + j]` with every
 /// output's accumulation running over `t` ascending — the same per-output
-/// term order as the memory-accumulator loops of [`Matrix::matmul`] and
-/// [`Matrix::matmul_tn`], so results are bit-identical on finite operands
+/// term order as the memory-accumulator loops of [`oracle::matmul`](crate::oracle::matmul) and
+/// [`oracle::matmul_tn`](crate::oracle::matmul_tn), so results are bit-identical on finite operands
 /// (see DESIGN.md §14 on why the references' zero-skip is elided here:
 /// adding a `±0.0` product is exact, and a partial sum seeded from `+0.0`
 /// can never itself be `-0.0`, so skip and no-skip produce the same bits —
@@ -1088,7 +974,7 @@ fn matmul_rows_blocked(
 /// branch-free `t`-outer stream — both operand rows and the output walk
 /// forward contiguously, never striding across `a` — which is the same
 /// loop structure (and therefore the same per-element `t`-ascending
-/// accumulation) as [`Matrix::matmul_tn`]. Every output element is a pure
+/// accumulation) as [`oracle::matmul_tn`](crate::oracle::matmul_tn). Every output element is a pure
 /// function of its column and the global operands, so chunk boundaries
 /// (and hence thread counts) cannot change results.
 ///
@@ -1204,18 +1090,38 @@ fn at_b_rows_blocked(
     }
 }
 
+/// Fewest rows of `A` (the global `m`) for which [`a_bt_rows`] takes the
+/// blocked schedule. Transpose-packing a B panel costs about as much as
+/// the GEMM over a dozen rows, so shorter batches (a single-state
+/// `Mlp::forward_one`, a few-RA fleet) stay on the 2×4 register kernel:
+/// a 1-row 64×64 product runs about 4× faster there on a 2-vCPU host.
+const A_BT_BLOCKED_MIN_ROWS: usize = 16;
+
 /// Row-range body of [`Matrix::matmul_a_bt_into`]: computes output rows
-/// `i0..i0 + nr` of `A·Bᵀ` with the 2×4 register kernel (eight independent
-/// accumulator chains). Every output is one accumulator over `k` ascending
-/// — bit-identical to [`Matrix::matmul_nt`] — and per-row math never
-/// depends on which rows share a chunk.
+/// `i0..i0 + nr` of `A·Bᵀ` (`A` has `m` rows in all) with the 2×4
+/// register kernel (eight independent accumulator chains). Every output
+/// is one accumulator over `k` ascending — bit-identical to
+/// [`oracle::matmul_nt`](crate::oracle::matmul_nt) — and per-row math
+/// never depends on which rows share a chunk.
 ///
-/// Operands at least 32 deep and [`TILE_N`] wide dispatch to the blocked
-/// schedule: its transpose-packed panel feeds the 2×8 microkernel, which
-/// sustains a higher madd rate than the 2×4 dot kernel once the panel
-/// pack amortizes (the paper's 128×128 hidden forwards included).
-fn a_bt_rows(a: &[f64], k: usize, i0: usize, nr: usize, b: &[f64], n: usize, out_rows: &mut [f64]) {
-    if k >= 32 && n >= TILE_N {
+/// Operands at least 32 deep and [`TILE_N`] wide, with at least
+/// [`A_BT_BLOCKED_MIN_ROWS`] rows, dispatch to the blocked schedule: its
+/// transpose-packed panel feeds the 2×8 microkernel, which sustains a
+/// higher madd rate than the 2×4 dot kernel once the panel pack
+/// amortizes (the paper's 128×128 hidden forwards at training batch
+/// sizes included). Dispatch reads the global shape, never the chunk.
+#[allow(clippy::too_many_arguments)]
+fn a_bt_rows(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    i0: usize,
+    nr: usize,
+    b: &[f64],
+    n: usize,
+    out_rows: &mut [f64],
+) {
+    if m >= A_BT_BLOCKED_MIN_ROWS && k >= 32 && n >= TILE_N {
         a_bt_rows_blocked(a, k, i0, nr, b, n, out_rows);
         return;
     }
@@ -1286,7 +1192,7 @@ fn a_bt_rows(a: &[f64], k: usize, i0: usize, nr: usize, b: &[f64], n: usize, out
 /// microkernel as `matmul` — once the panel holds `bᵀ`, `A·Bᵀ` *is*
 /// `A·B'`. Partial sums resume from `out_rows` between ascending
 /// `k`-tiles, so each output element's accumulation order is exactly the
-/// 2×4 register kernel's (and [`Matrix::matmul_nt`]'s): `k` ascending,
+/// 2×4 register kernel's (and [`oracle::matmul_nt`](crate::oracle::matmul_nt)'s): `k` ascending,
 /// one chain per element. No zero-skip.
 fn a_bt_rows_blocked(
     a: &[f64],
@@ -1424,48 +1330,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matmul_identity_is_noop() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.matmul(&Matrix::identity(3)), a);
-        assert_eq!(Matrix::identity(2).matmul(&a), a);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-    }
-
-    #[test]
-    fn matmul_tn_matches_explicit_transpose() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let b = Matrix::from_rows(&[&[1.0, 0.5], &[2.0, -1.0], &[0.0, 3.0]]);
-        assert_eq!(a.matmul_tn(&b), a.transpose().matmul(&b));
-    }
-
-    #[test]
-    fn matmul_nt_matches_explicit_transpose() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let b = Matrix::from_rows(&[&[1.0, 0.0, 2.0], &[-1.0, 1.0, 0.5]]);
-        assert_eq!(a.matmul_nt(&b), a.matmul(&b.transpose()));
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
     }
 
     #[test]
-    fn hadamard_and_axpy() {
+    fn axpy_in_place() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[2.0, 0.5], &[1.0, -1.0]]);
-        assert_eq!(
-            a.hadamard(&b),
-            Matrix::from_rows(&[&[2.0, 1.0], &[3.0, -4.0]])
-        );
         let mut c = a.clone();
         c.axpy(2.0, &b);
         assert_eq!(c, Matrix::from_rows(&[&[5.0, 3.0], &[5.0, 2.0]]));
@@ -1475,7 +1348,9 @@ mod tests {
     fn broadcast_and_sums() {
         let mut a = Matrix::zeros(3, 2);
         a.add_row_broadcast(&[1.0, 2.0]);
-        assert_eq!(a.sum_rows(), vec![3.0, 6.0]);
+        let mut sums = Vec::new();
+        a.sum_rows_into(&mut sums);
+        assert_eq!(sums, vec![3.0, 6.0]);
         assert_eq!(a.sum(), 9.0);
         assert!((a.mean() - 1.5).abs() < 1e-12);
     }
@@ -1507,13 +1382,5 @@ mod tests {
         assert!((a.norm() - 5.0).abs() < 1e-12);
         let b = Matrix::from_rows(&[&[1.0, 2.0]]);
         assert!((a.dot(&b) - 11.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul dimension mismatch")]
-    fn matmul_shape_mismatch_panics() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
     }
 }

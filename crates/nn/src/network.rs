@@ -29,25 +29,6 @@ pub struct Mlp {
     layers: Vec<Dense>,
 }
 
-/// Cached intermediate values from [`Mlp::forward_cached`], consumed by
-/// [`Mlp::backward`].
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    /// Input to each layer (`inputs[0]` is the network input).
-    inputs: Vec<Matrix>,
-    /// Pre-activation of each layer.
-    pre: Vec<Matrix>,
-    /// Final activated output.
-    output: Matrix,
-}
-
-impl ForwardCache {
-    /// The network output for this pass.
-    pub fn output(&self) -> &Matrix {
-        &self.output
-    }
-}
-
 /// A reusable scratch arena for one network's training pass.
 ///
 /// Holds the forward caches (per-layer inputs and pre-activations), the
@@ -355,49 +336,11 @@ impl Mlp {
         &s.cur
     }
 
-    /// Forward pass that records everything needed for [`Mlp::backward`].
-    pub fn forward_cached(&self, x: &Matrix) -> ForwardCache {
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut pre = Vec::with_capacity(self.layers.len());
-        let mut h = x.clone();
-        for layer in &self.layers {
-            let z = layer.pre_activation(&h);
-            let out = layer.activation().forward(&z);
-            inputs.push(h);
-            pre.push(z);
-            h = out;
-        }
-        ForwardCache {
-            inputs,
-            pre,
-            output: h,
-        }
-    }
-
-    /// Backpropagates `d_output = ∂L/∂output` through the cached pass.
-    ///
-    /// Returns the parameter gradients (summed over the batch) and
-    /// `∂L/∂input`, which DDPG uses to push the deterministic-policy
-    /// gradient `∇_a Q` back into the actor.
-    pub fn backward(&self, cache: &ForwardCache, d_output: &Matrix) -> (Gradients, Matrix) {
-        let mut grads = vec![None; self.layers.len()];
-        let mut d = d_output.clone();
-        for (idx, layer) in self.layers.iter().enumerate().rev() {
-            let (g, dx) = layer.backward(&cache.inputs[idx], &cache.pre[idx], &d);
-            grads[idx] = Some(g);
-            d = dx;
-        }
-        let layers = grads
-            .into_iter()
-            .map(|g| g.expect("every layer visited"))
-            .collect();
-        (Gradients { layers }, d)
-    }
-
     /// Forward pass through a [`TrainScratch`], recording everything needed
-    /// for [`Mlp::backward_scratch`]. Bit-identical to
-    /// [`Mlp::forward_cached`], allocation-free once the scratch has warmed
-    /// up. The output stays readable via [`TrainScratch::output`].
+    /// for [`Mlp::backward_scratch`]: each layer's input and pre-activation.
+    /// Bit-identical to [`oracle::forward`](crate::oracle::forward) and to
+    /// [`Mlp::forward`], allocation-free once the scratch has warmed up.
+    /// The output stays readable via [`TrainScratch::output`].
     pub fn forward_scratch(&self, x: &Matrix, s: &mut TrainScratch) {
         let n = self.layers.len();
         s.inputs.resize_with(n, Matrix::default);
@@ -414,10 +357,15 @@ impl Mlp {
         }
     }
 
-    /// Backpropagates `d_output` through the pass recorded by
-    /// [`Mlp::forward_scratch`], leaving the parameter gradients in
-    /// [`TrainScratch::grads`] and `∂L/∂input` in
-    /// [`TrainScratch::d_input`]. Bit-identical to [`Mlp::backward`].
+    /// Backpropagates `d_output = ∂L/∂output` through the pass recorded by
+    /// [`Mlp::forward_scratch`], leaving the parameter gradients (summed
+    /// over the batch) in [`TrainScratch::grads`] and `∂L/∂input` in
+    /// [`TrainScratch::d_input`]. Bit-identical to
+    /// [`oracle::backward`](crate::oracle::backward).
+    ///
+    /// The recorded pass is left intact, so a second backward over the
+    /// same forward (TRPO's Fisher-vector products) is valid; it
+    /// overwrites the previous gradients.
     pub fn backward_scratch(&self, s: &mut TrainScratch, d_output: &Matrix) {
         s.grads.resize_like(self);
         let n = self.layers.len();
@@ -540,11 +488,12 @@ mod tests {
     }
 
     #[test]
-    fn forward_cached_matches_forward() {
+    fn forward_scratch_matches_forward() {
         let n = net();
         let x = Matrix::from_rows(&[&[0.1, -0.2, 0.3], &[1.0, 0.5, -0.5]]);
-        let cache = n.forward_cached(&x);
-        assert_eq!(cache.output(), &n.forward(&x));
+        let mut s = TrainScratch::new();
+        n.forward_scratch(&x, &mut s);
+        assert_eq!(s.output(), &n.forward(&x));
     }
 
     #[test]
@@ -552,10 +501,11 @@ mod tests {
         let mut n = net();
         let x = Matrix::from_rows(&[&[0.4, -0.1, 0.9], &[-0.3, 0.7, 0.2]]);
         // Scalar loss: sum of all outputs.
-        let cache = n.forward_cached(&x);
-        let d_out = Matrix::filled(2, 2, 1.0);
-        let (grads, d_in) = n.backward(&cache, &d_out);
-        let flat_grad = n.flat_grads(&grads);
+        let mut s = TrainScratch::new();
+        n.forward_scratch(&x, &mut s);
+        n.backward_scratch(&mut s, &Matrix::filled(2, 2, 1.0));
+        let flat_grad = n.flat_grads(s.grads());
+        let d_in = s.d_input().clone();
 
         let eps = 1e-6;
         let mut params = n.flat_params();
@@ -621,9 +571,10 @@ mod tests {
     #[test]
     fn gradient_clipping_caps_global_norm() {
         let n = net();
-        let x = Matrix::filled(1, 3, 1.0);
-        let cache = n.forward_cached(&x);
-        let (mut g, _) = n.backward(&cache, &Matrix::filled(1, 2, 100.0));
+        let mut s = TrainScratch::new();
+        n.forward_scratch(&Matrix::filled(1, 3, 1.0), &mut s);
+        n.backward_scratch(&mut s, &Matrix::filled(1, 2, 100.0));
+        let g = s.grads_mut();
         let before = g.global_norm();
         assert!(before > 1.0);
         g.clip_global_norm(1.0);

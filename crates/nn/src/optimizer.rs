@@ -10,13 +10,13 @@ use crate::{Gradients, Matrix, Mlp};
 /// (Sec. VI-A); [`Adam::paper`] uses exactly that.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
-    lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
-    t: u64,
-    m: Vec<f64>,
-    v: Vec<f64>,
+    pub(crate) lr: f64,
+    pub(crate) beta1: f64,
+    pub(crate) beta2: f64,
+    pub(crate) eps: f64,
+    pub(crate) t: u64,
+    pub(crate) m: Vec<f64>,
+    pub(crate) v: Vec<f64>,
 }
 
 impl Adam {
@@ -56,8 +56,9 @@ impl Adam {
     /// The update walks each layer's parameter slices in place, zipped with
     /// the matching offsets into the flat moment vectors — no flattened
     /// parameter or gradient copies. The per-parameter arithmetic (and the
-    /// parameter ↦ moment-slot mapping) is unchanged from
-    /// [`Adam::step_reference`], so results are bit-identical.
+    /// parameter ↦ moment-slot mapping) matches the flatten → update →
+    /// scatter step of [`oracle::adam_step`](crate::oracle::adam_step),
+    /// so results are bit-identical.
     ///
     /// # Panics
     ///
@@ -84,30 +85,6 @@ impl Adam {
         }
     }
 
-    /// The pre-fusion Adam step (flatten → update → scatter), kept as the
-    /// baseline for the `trainperf` benchmark and the kernel-equivalence
-    /// tests. Numerically identical to [`Adam::step`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the optimizer was sized for a different architecture.
-    pub fn step_reference(&mut self, net: &mut Mlp, grads: &Gradients) {
-        let g = net.flat_grads(grads);
-        assert_eq!(g.len(), self.m.len(), "optimizer/network size mismatch");
-        self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        let mut params = net.flat_params();
-        for i in 0..g.len() {
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g[i];
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g[i] * g[i];
-            let m_hat = self.m[i] / b1t;
-            let v_hat = self.v[i] / b2t;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
-        net.set_flat_params(&params);
-    }
-
     /// Adam-updates one contiguous parameter slice against the moment
     /// vectors at `off`, returning the offset past the slice.
     fn apply_slice(
@@ -129,42 +106,6 @@ impl Adam {
             params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
         off + params.len()
-    }
-}
-
-/// Plain stochastic gradient descent, used in tests and as an ablation
-/// against Adam.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    lr: f64,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with the given learning rate.
-    pub fn new(lr: f64) -> Self {
-        Self { lr }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    /// Applies `θ ← θ - lr * g`, axpy-style in place (no flattened copies).
-    pub fn step(&self, net: &mut Mlp, grads: &Gradients) {
-        for (layer, g) in net.layers_mut().iter_mut().zip(&grads.layers) {
-            for (p, gi) in layer
-                .weights_mut()
-                .as_mut_slice()
-                .iter_mut()
-                .zip(g.weights.as_slice())
-            {
-                *p -= self.lr * gi;
-            }
-            for (p, gi) in layer.bias_mut().iter_mut().zip(&g.bias) {
-                *p -= self.lr * gi;
-            }
-        }
     }
 }
 
@@ -213,12 +154,14 @@ pub fn mse_loss_into(pred: &Matrix, target: &Matrix, d_pred: &mut Matrix) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Activation;
+    use crate::{Activation, TrainScratch};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Fits y = sin-like target with a tiny net; loss must drop sharply.
-    fn fit_with<F: FnMut(&mut Mlp, &Gradients)>(mut stepper: F) -> (f64, f64) {
+    /// Fits a quadratic target with a tiny net through the scratch pass;
+    /// Adam must cut the loss sharply.
+    #[test]
+    fn adam_reduces_regression_loss() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut net = Mlp::new(
             &[1, 16, 1],
@@ -226,39 +169,20 @@ mod tests {
             Activation::Identity,
             &mut rng,
         );
+        let mut adam = Adam::new(&net, 1e-2);
         let xs = Matrix::from_fn(32, 1, |i, _| i as f64 / 16.0 - 1.0);
         let ys = xs.map(|x| 0.5 * x * x - 0.2 * x);
         let (first, _) = mse_loss(&net.forward(&xs), &ys);
         let mut last = first;
+        let mut s = TrainScratch::new();
+        let mut d = Matrix::default();
         for _ in 0..500 {
-            let cache = net.forward_cached(&xs);
-            let (loss, d) = mse_loss(cache.output(), &ys);
-            last = loss;
-            let (grads, _) = net.backward(&cache, &d);
-            stepper(&mut net, &grads);
+            net.forward_scratch(&xs, &mut s);
+            last = mse_loss_into(s.output(), &ys, &mut d);
+            net.backward_scratch(&mut s, &d);
+            adam.step(&mut net, s.grads());
         }
-        (first, last)
-    }
-
-    #[test]
-    fn adam_reduces_regression_loss() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let net = Mlp::new(
-            &[1, 16, 1],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng,
-        );
-        let mut adam = Adam::new(&net, 1e-2);
-        let (first, last) = fit_with(|n, g| adam.step(n, g));
         assert!(last < first * 0.05, "Adam failed to fit: {first} -> {last}");
-    }
-
-    #[test]
-    fn sgd_reduces_regression_loss() {
-        let sgd = Sgd::new(0.05);
-        let (first, last) = fit_with(|n, g| sgd.step(n, g));
-        assert!(last < first * 0.5, "SGD failed to fit: {first} -> {last}");
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Property-based tests for the linear-algebra core.
+//! Property-based tests for the linear-algebra core and the training
+//! pass, pinned bit for bit against [`edgeslice_nn::oracle`].
 
-use edgeslice_nn::{Activation, Matrix, Mlp, Parallelism, TILE_K, TILE_N};
+use edgeslice_nn::oracle::{self, matmul, matmul_nt, matmul_tn};
+use edgeslice_nn::{Activation, Matrix, Mlp, Parallelism, TrainScratch, TILE_K, TILE_N};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,8 +65,8 @@ proptest! {
         b in small_matrix(4, 2),
         c in small_matrix(2, 5),
     ) {
-        let left = a.matmul(&b).matmul(&c);
-        let right = a.matmul(&b.matmul(&c));
+        let left = matmul(&matmul(&a, &b), &c);
+        let right = matmul(&a, &matmul(&b, &c));
         let diff = (&left - &right).norm();
         prop_assert!(diff < 1e-9, "associativity violated by {diff}");
     }
@@ -75,21 +77,21 @@ proptest! {
         b in small_matrix(4, 2),
         c in small_matrix(4, 2),
     ) {
-        let left = a.matmul(&(&b + &c));
-        let right = &a.matmul(&b) + &a.matmul(&c);
+        let left = matmul(&a, &(&b + &c));
+        let right = &matmul(&a, &b) + &matmul(&a, &c);
         prop_assert!((&left - &right).norm() < 1e-9);
     }
 
     #[test]
     fn transpose_reverses_product(a in small_matrix(3, 4), b in small_matrix(4, 2)) {
-        let left = a.matmul(&b).transpose();
-        let right = b.transpose().matmul(&a.transpose());
+        let left = matmul(&a, &b).transpose();
+        let right = matmul(&b.transpose(), &a.transpose());
         prop_assert!((&left - &right).norm() < 1e-9);
     }
 
     #[test]
     fn fused_transpose_products_agree(a in small_matrix(4, 3), b in small_matrix(4, 2)) {
-        prop_assert!((&a.matmul_tn(&b) - &a.transpose().matmul(&b)).norm() < 1e-9);
+        prop_assert!((&matmul_tn(&a, &b) - &matmul(&a.transpose(), &b)).norm() < 1e-9);
     }
 
     #[test]
@@ -112,7 +114,7 @@ proptest! {
     ) {
         let (a, b, mut out) = case;
         a.matmul_into(&b, &mut out);
-        prop_assert_eq!(&out, &a.matmul(&b));
+        prop_assert_eq!(&out, &matmul(&a, &b));
     }
 
     #[test]
@@ -121,8 +123,8 @@ proptest! {
     ) {
         let (a, b, mut out) = case;
         a.matmul_at_b_into(&b, &mut out);
-        prop_assert_eq!(&out, &a.transpose().matmul(&b));
-        prop_assert_eq!(&out, &a.matmul_tn(&b));
+        prop_assert_eq!(&out, &matmul(&a.transpose(), &b));
+        prop_assert_eq!(&out, &matmul_tn(&a, &b));
     }
 
     #[test]
@@ -131,8 +133,8 @@ proptest! {
     ) {
         let (a, b, mut out) = case;
         a.matmul_a_bt_into(&b, &mut out);
-        prop_assert_eq!(&out, &a.matmul(&b.transpose()));
-        prop_assert_eq!(&out, &a.matmul_nt(&b));
+        prop_assert_eq!(&out, &matmul(&a, &b.transpose()));
+        prop_assert_eq!(&out, &matmul_nt(&a, &b));
     }
 
     #[test]
@@ -144,6 +146,84 @@ proptest! {
         let net = Mlp::new(&[4, 8, 3], Activation::leaky_default(), Activation::Sigmoid, &mut rng);
         let out = net.forward_one(&input);
         prop_assert!(out.iter().all(|&v| (0.0..=1.0).contains(&v)));
+    }
+}
+
+/// Every [`Activation`] variant, each used as both the hidden and the
+/// output activation by [`scratch_pass_bit_identical_to_oracle`].
+const ACTS: [Activation; 6] = [
+    Activation::Identity,
+    Activation::Relu,
+    Activation::LeakyRelu(0.01),
+    Activation::Sigmoid,
+    Activation::Tanh,
+    Activation::Softplus,
+];
+
+/// A random MLP training case: layer widths (2–4 entries drawn from
+/// sizes that straddle the blocked-kernel thresholds), a network seed, an
+/// output-activation shift, and an input batch plus two upstream
+/// gradients (0–5 rows) sprinkled with exact zeros so the oracle's
+/// zero-skips fire.
+struct MlpCase;
+
+impl Strategy for MlpCase {
+    type Value = (Vec<usize>, u64, usize, Matrix, Matrix, Matrix);
+
+    fn generate(&self, rng: &mut StdRng) -> Self::Value {
+        const WIDTHS: [usize; 8] = [1, 2, 3, 5, 8, 13, 33, 70];
+        let depth = rng.gen_range(2..=4);
+        let dims: Vec<usize> = (0..depth)
+            .map(|_| WIDTHS[rng.gen_range(0..WIDTHS.len())])
+            .collect();
+        let batch = rng.gen_range(0..=5);
+        let mut sparse = |rows: usize, cols: usize| {
+            let mut m = rand_matrix(rng, rows, cols);
+            m.apply(|v| if v.abs() < 2.0 { 0.0 } else { v / 3.0 });
+            m
+        };
+        let x = sparse(batch, dims[0]);
+        let d1 = sparse(batch, dims[depth - 1]);
+        let d2 = sparse(batch, dims[depth - 1]);
+        (dims, rng.gen(), rng.gen_range(0..ACTS.len()), x, d1, d2)
+    }
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+fn grad_bits(net: &Mlp, g: &edgeslice_nn::Gradients) -> Vec<u64> {
+    net.flat_grads(g).iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    /// The training pass is the oracle, bit for bit: `forward_scratch`
+    /// output, `backward_scratch` parameter gradients and `d_input`,
+    /// `backward_input_scratch`'s `d_input`, and a second
+    /// `backward_scratch` over the same forward (TRPO's Fisher-vector
+    /// pattern), for every activation as hidden and as output layer.
+    #[test]
+    fn scratch_pass_bit_identical_to_oracle(case in MlpCase) {
+        let (dims, seed, shift, x, d1, d2) = case;
+        for (i, &hidden) in ACTS.iter().enumerate() {
+            let output = ACTS[(i + shift) % ACTS.len()];
+            let net = Mlp::new(&dims, hidden, output, &mut StdRng::seed_from_u64(seed));
+            let pass = oracle::forward(&net, &x);
+            let mut s = TrainScratch::new();
+            net.forward_scratch(&x, &mut s);
+            prop_assert_eq!(bits(s.output()), bits(pass.output()), "forward {:?} {:?}/{:?}", dims, hidden, output);
+
+            let mut only_input = s.clone();
+            for d in [&d1, &d2] {
+                let (grads, d_input) = oracle::backward(&net, &pass, d);
+                net.backward_scratch(&mut s, d);
+                prop_assert_eq!(grad_bits(&net, s.grads()), grad_bits(&net, &grads), "grads {:?} {:?}/{:?}", dims, hidden, output);
+                prop_assert_eq!(bits(s.d_input()), bits(&d_input), "d_input {:?} {:?}/{:?}", dims, hidden, output);
+                net.backward_input_scratch(&mut only_input, d);
+                prop_assert_eq!(bits(only_input.d_input()), bits(&d_input), "input-only {:?} {:?}/{:?}", dims, hidden, output);
+            }
+        }
     }
 }
 
@@ -221,23 +301,25 @@ fn blocked_dispatch_bit_identical_on_tile_crossing_shapes() {
         (5, 2 * TILE_K + 1, TILE_N + 1),
         (1, TILE_K + 77, 2 * TILE_N + 13),
         (4, TILE_K + 1, TILE_N + 9),
+        // Enough rows for the `A·Bᵀ` blocked schedule as well.
+        (17, TILE_K + 5, TILE_N + 7),
     ];
     for &(m, k, n) in &shapes {
         let a = rand_matrix(&mut rng, m, k);
         let b = rand_matrix(&mut rng, k, n);
         let mut out = Matrix::zeros(1, 1);
         a.matmul_into(&b, &mut out);
-        assert_eq!(out, a.matmul(&b), "matmul {m}x{k}x{n}");
+        assert_eq!(out, matmul(&a, &b), "matmul {m}x{k}x{n}");
 
         let at = rand_matrix(&mut rng, k, m); // r=k terms, m outputs — needs n to cross tiles
         let bt = rand_matrix(&mut rng, k, n);
         at.matmul_at_b_into(&bt, &mut out);
-        assert_eq!(out, at.matmul_tn(&bt), "at_b {m}x{k}x{n}");
+        assert_eq!(out, matmul_tn(&at, &bt), "at_b {m}x{k}x{n}");
 
         let ar = rand_matrix(&mut rng, m, k);
         let br = rand_matrix(&mut rng, n, k);
         ar.matmul_a_bt_into(&br, &mut out);
-        assert_eq!(out, ar.matmul_nt(&br), "a_bt {m}x{k}x{n}");
+        assert_eq!(out, matmul_nt(&ar, &br), "a_bt {m}x{k}x{n}");
 
         for par in [
             Parallelism::Sequential,
@@ -246,11 +328,11 @@ fn blocked_dispatch_bit_identical_on_tile_crossing_shapes() {
         ] {
             let mut pout = Matrix::zeros(1, 1);
             a.matmul_par_into(&b, &mut pout, par);
-            assert_eq!(pout, a.matmul(&b), "matmul_par {par:?} {m}x{k}x{n}");
+            assert_eq!(pout, matmul(&a, &b), "matmul_par {par:?} {m}x{k}x{n}");
             at.matmul_at_b_par_into(&bt, &mut pout, par);
-            assert_eq!(pout, at.matmul_tn(&bt), "at_b_par {par:?} {m}x{k}x{n}");
+            assert_eq!(pout, matmul_tn(&at, &bt), "at_b_par {par:?} {m}x{k}x{n}");
             ar.matmul_a_bt_par_into(&br, &mut pout, par);
-            assert_eq!(pout, ar.matmul_nt(&br), "a_bt_par {par:?} {m}x{k}x{n}");
+            assert_eq!(pout, matmul_nt(&ar, &br), "a_bt_par {par:?} {m}x{k}x{n}");
         }
     }
 }
@@ -266,33 +348,33 @@ fn blocked_and_par_handle_degenerate_shapes() {
     let mut out = Matrix::zeros(2, 2);
 
     row.matmul_blocked_into(&col, &mut out);
-    assert_eq!(out, row.matmul(&col));
+    assert_eq!(out, matmul(&row, &col));
     col.matmul_blocked_into(&row, &mut out);
-    assert_eq!(out, col.matmul(&row));
+    assert_eq!(out, matmul(&col, &row));
     row.matmul_at_b_blocked_into(&row, &mut out);
-    assert_eq!(out, row.transpose().matmul(&row));
+    assert_eq!(out, matmul(&row.transpose(), &row));
     row.matmul_a_bt_blocked_into(&row, &mut out);
-    assert_eq!(out, row.matmul(&row.transpose()));
+    assert_eq!(out, matmul(&row, &row.transpose()));
     empty_batch.matmul_blocked_into(&col, &mut out);
     assert_eq!(out.shape(), (0, 1));
     empty_batch.matmul_at_b_blocked_into(&empty_batch, &mut out);
-    assert_eq!(out, empty_batch.transpose().matmul(&empty_batch));
+    assert_eq!(out, matmul(&empty_batch.transpose(), &empty_batch));
     empty_batch.matmul_a_bt_blocked_into(&empty_batch, &mut out);
     assert_eq!(out.shape(), (0, 0));
 
     for par in [Parallelism::Threaded(2), Parallelism::Threaded(4)] {
         row.matmul_par_into(&col, &mut out, par);
-        assert_eq!(out, row.matmul(&col));
+        assert_eq!(out, matmul(&row, &col));
         col.matmul_par_into(&row, &mut out, par);
-        assert_eq!(out, col.matmul(&row));
+        assert_eq!(out, matmul(&col, &row));
         row.matmul_at_b_par_into(&row, &mut out, par);
-        assert_eq!(out, row.transpose().matmul(&row));
+        assert_eq!(out, matmul(&row.transpose(), &row));
         row.matmul_a_bt_par_into(&row, &mut out, par);
-        assert_eq!(out, row.matmul(&row.transpose()));
+        assert_eq!(out, matmul(&row, &row.transpose()));
         empty_batch.matmul_par_into(&col, &mut out, par);
         assert_eq!(out.shape(), (0, 1));
         empty_batch.matmul_at_b_par_into(&empty_batch, &mut out, par);
-        assert_eq!(out, empty_batch.transpose().matmul(&empty_batch));
+        assert_eq!(out, matmul(&empty_batch.transpose(), &empty_batch));
         empty_batch.matmul_a_bt_par_into(&empty_batch, &mut out, par);
         assert_eq!(out.shape(), (0, 0));
     }
@@ -341,24 +423,24 @@ fn into_kernels_handle_degenerate_shapes() {
     let mut out = Matrix::zeros(2, 2);
 
     row.matmul_into(&col, &mut out);
-    assert_eq!(out, row.matmul(&col));
+    assert_eq!(out, matmul(&row, &col));
     assert_eq!(out.shape(), (1, 1));
 
     col.matmul_into(&row, &mut out);
-    assert_eq!(out, col.matmul(&row));
+    assert_eq!(out, matmul(&col, &row));
     assert_eq!(out.shape(), (3, 3));
 
     row.matmul_at_b_into(&row, &mut out);
-    assert_eq!(out, row.transpose().matmul(&row));
+    assert_eq!(out, matmul(&row.transpose(), &row));
 
     row.matmul_a_bt_into(&row, &mut out);
-    assert_eq!(out, row.matmul(&row.transpose()));
+    assert_eq!(out, matmul(&row, &row.transpose()));
 
     empty_batch.matmul_into(&col, &mut out);
     assert_eq!(out.shape(), (0, 1));
 
     empty_batch.matmul_at_b_into(&empty_batch, &mut out);
-    assert_eq!(out, empty_batch.transpose().matmul(&empty_batch));
+    assert_eq!(out, matmul(&empty_batch.transpose(), &empty_batch));
     assert_eq!(out.shape(), (3, 3));
 
     empty_batch.matmul_a_bt_into(&empty_batch, &mut out);

@@ -7,11 +7,12 @@
 
 /// Solves `A x = b` by conjugate gradient, given only the matvec
 /// `matvec(v) = A v`. `A` must be symmetric positive (semi-)definite.
+/// `matvec` may keep state between calls (TRPO reuses one scratch).
 ///
 /// Returns the approximate solution after at most `max_iters` iterations or
 /// once the residual norm falls under `tol`.
 pub fn conjugate_gradient(
-    matvec: impl Fn(&[f64]) -> Vec<f64>,
+    mut matvec: impl FnMut(&[f64]) -> Vec<f64>,
     b: &[f64],
     max_iters: usize,
     tol: f64,

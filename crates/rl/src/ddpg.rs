@@ -7,7 +7,7 @@
 //! `g_t = r + γ Q'(s', μ'(s'))` (paper Eq. 16–17); the actor ascends
 //! `∇_θ J ≈ E[∇_a Q(s, a)|_{a=μ(s)} ∇_θ μ(s)]` (paper Eq. 18).
 
-use edgeslice_nn::{Adam, FleetScratch, Matrix, Mlp, Parallelism, TrainScratch};
+use edgeslice_nn::{oracle, Adam, FleetScratch, Matrix, Mlp, Parallelism, TrainScratch};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -218,7 +218,7 @@ impl Ddpg {
     ///
     /// The step runs entirely through the `_into` kernels and this agent's
     /// scratch arena — zero heap allocations at steady state — and is
-    /// bit-identical to [`Ddpg::update_reference`] for the same RNG state.
+    /// bit-identical to [`Ddpg::update_oracle`] for the same RNG state.
     pub fn update(&mut self, rng: &mut StdRng) -> Option<DdpgUpdate> {
         // Move the scratch out so its buffers and `self`'s networks can be
         // borrowed independently; moving is allocation-free.
@@ -306,51 +306,51 @@ impl Ddpg {
         })
     }
 
-    /// The pre-fusion update step (allocating kernels, flat-vector Adam),
-    /// kept as the baseline for the `trainperf` benchmark and the
-    /// kernel-equivalence tests. For the same RNG state this produces
-    /// bit-identical networks to [`Ddpg::update`].
-    pub fn update_reference(&mut self, rng: &mut StdRng) -> Option<DdpgUpdate> {
+    /// The oracle update: the same step as [`Ddpg::update`] built only
+    /// from [`edgeslice_nn::oracle`] (naive GEMMs, the allocating MLP pass,
+    /// flatten → update → scatter Adam) over an allocating replay sample.
+    /// For the same RNG state it leaves bit-identical networks. It is the
+    /// reference of the kernel-equivalence tests and the "before" of the
+    /// `trainperf` benchmark; pass it to [`Ddpg::train_with`].
+    pub fn update_oracle(&mut self, rng: &mut StdRng) -> Option<DdpgUpdate> {
         let batch = self.replay.sample(self.config.batch_size, rng).ok()?;
         let n = batch.rewards.len();
 
         // ---- Critic: minimize (Q(s,a) - g)² with g = r + γ Q'(s', μ'(s')).
-        let next_actions = self.target_actor.forward(&batch.next_states);
-        let next_sa = Matrix::hstack(&[&batch.next_states, &next_actions]);
-        let next_q = self.target_critic.forward(&next_sa);
+        let next_actions = oracle::forward(&self.target_actor, &batch.next_states);
+        let next_sa = Matrix::hstack(&[&batch.next_states, next_actions.output()]);
+        let next_q = oracle::forward(&self.target_critic, &next_sa);
         let mut targets = Matrix::zeros(n, 1);
         for i in 0..n {
             let bootstrap = if batch.dones[i] {
                 0.0
             } else {
-                self.config.gamma * next_q[(i, 0)]
+                self.config.gamma * next_q.output()[(i, 0)]
             };
             targets[(i, 0)] = batch.rewards[i] + bootstrap;
         }
         let sa = Matrix::hstack(&[&batch.states, &batch.actions]);
-        let cache = self.critic.forward_cached(&sa);
-        let (critic_loss, d_pred) = edgeslice_nn::mse_loss(cache.output(), &targets);
-        let (mut critic_grads, _) = self.critic.backward(&cache, &d_pred);
+        let pass = oracle::forward(&self.critic, &sa);
+        let (critic_loss, d_pred) = edgeslice_nn::mse_loss(pass.output(), &targets);
+        let (mut critic_grads, _) = oracle::backward(&self.critic, &pass, &d_pred);
         critic_grads.clip_global_norm(10.0);
-        self.critic_opt
-            .step_reference(&mut self.critic, &critic_grads);
+        oracle::adam_step(&mut self.critic_opt, &mut self.critic, &critic_grads);
 
         // ---- Actor: ascend Q(s, μ(s)).
-        let actor_cache = self.actor.forward_cached(&batch.states);
-        let mu = actor_cache.output().clone();
-        let sa_mu = Matrix::hstack(&[&batch.states, &mu]);
-        let critic_cache = self.critic.forward_cached(&sa_mu);
-        let actor_objective = critic_cache.output().mean();
+        let actor_pass = oracle::forward(&self.actor, &batch.states);
+        let mu = actor_pass.output();
+        let sa_mu = Matrix::hstack(&[&batch.states, mu]);
+        let critic_pass = oracle::forward(&self.critic, &sa_mu);
+        let actor_objective = critic_pass.output().mean();
         // d(-mean Q)/dQ = -1/n; backprop through the critic to get ∇_a Q.
         let d_q = Matrix::filled(n, 1, -1.0 / n as f64);
-        let (_, d_input) = self.critic.backward(&critic_cache, &d_q);
+        let (_, d_input) = oracle::backward(&self.critic, &critic_pass, &d_q);
         // Slice out the action part of the critic input gradient.
         let sd = batch.states.cols();
-        let ad = mu.cols();
-        let d_action = Matrix::from_fn(n, ad, |i, j| d_input[(i, sd + j)]);
-        let (mut actor_grads, _) = self.actor.backward(&actor_cache, &d_action);
+        let d_action = Matrix::from_fn(n, mu.cols(), |i, j| d_input[(i, sd + j)]);
+        let (mut actor_grads, _) = oracle::backward(&self.actor, &actor_pass, &d_action);
         actor_grads.clip_global_norm(10.0);
-        self.actor_opt.step_reference(&mut self.actor, &actor_grads);
+        oracle::adam_step(&mut self.actor_opt, &mut self.actor, &actor_grads);
 
         // ---- Soft target updates.
         self.target_actor
@@ -375,28 +375,20 @@ impl Ddpg {
         steps: usize,
         rng: &mut StdRng,
     ) -> Vec<f64> {
-        self.train_impl(env, steps, rng, false)
+        self.train_with(env, steps, rng, Ddpg::update)
     }
 
-    /// [`Ddpg::train`] through [`Ddpg::update_reference`] instead of the
-    /// fused update — the baseline half of the kernel-equivalence tests and
-    /// the `trainperf` benchmark. Identical RNG schedule, bit-identical
-    /// resulting networks.
-    pub fn train_reference<E: Environment + ?Sized>(
+    /// [`Ddpg::train`] with the update step given: [`Ddpg::update`] for
+    /// training, [`Ddpg::update_oracle`] for the reference run the
+    /// kernel-equivalence tests and `trainperf` compare against. Both
+    /// steps draw the same random numbers, so the two runs share one RNG
+    /// schedule.
+    pub fn train_with<E: Environment + ?Sized>(
         &mut self,
         env: &mut E,
         steps: usize,
         rng: &mut StdRng,
-    ) -> Vec<f64> {
-        self.train_impl(env, steps, rng, true)
-    }
-
-    fn train_impl<E: Environment + ?Sized>(
-        &mut self,
-        env: &mut E,
-        steps: usize,
-        rng: &mut StdRng,
-        reference: bool,
+        mut update: impl FnMut(&mut Ddpg, &mut StdRng) -> Option<DdpgUpdate>,
     ) -> Vec<f64> {
         let mut returns = Vec::new();
         let mut state = env.reset(rng);
@@ -428,11 +420,7 @@ impl Ddpg {
                 out.next_state
             };
             if step >= self.config.warmup {
-                if reference {
-                    self.update_reference(rng);
-                } else {
-                    self.update(rng);
-                }
+                update(self, rng);
             }
         }
         returns
@@ -482,14 +470,14 @@ mod tests {
         let actor_before = agent.actor.flat_params();
         let critic_before = agent.critic.flat_params();
         assert!(agent.update(&mut rng).is_none());
-        assert!(agent.update_reference(&mut rng).is_none());
+        assert!(agent.update_oracle(&mut rng).is_none());
         assert_eq!(agent.actor.flat_params(), actor_before);
         assert_eq!(agent.critic.flat_params(), critic_before);
         assert_eq!(agent.updates(), 0);
     }
 
     #[test]
-    fn fused_update_is_bit_identical_to_reference() {
+    fn fused_update_is_bit_identical_to_oracle() {
         let mut env_a = TrackingEnv::new(20);
         let mut env_b = TrackingEnv::new(20);
         let mut rng_a = StdRng::seed_from_u64(42);
@@ -497,7 +485,7 @@ mod tests {
         let mut fused = Ddpg::new(1, 1, small_config(), &mut rng_a);
         let mut reference = Ddpg::new(1, 1, small_config(), &mut rng_b);
         fused.train(&mut env_a, 400, &mut rng_a);
-        reference.train_reference(&mut env_b, 400, &mut rng_b);
+        reference.train_with(&mut env_b, 400, &mut rng_b, Ddpg::update_oracle);
         let bits =
             |net: &Mlp| -> Vec<u64> { net.flat_params().iter().map(|p| p.to_bits()).collect() };
         assert_eq!(bits(&fused.actor), bits(&reference.actor), "actor diverged");

@@ -34,7 +34,6 @@ mod noise;
 mod ppo;
 mod replay;
 mod sac;
-mod td3;
 mod trpo;
 mod value;
 mod vpg;
@@ -48,7 +47,6 @@ pub use noise::{sample_standard_normal, DecayingGaussian};
 pub use ppo::{Ppo, PpoConfig, PpoUpdate};
 pub use replay::{Batch, ReplayBuffer, SampleError};
 pub use sac::{Sac, SacConfig, SacUpdate};
-pub use td3::{Td3, Td3Config, Td3Update};
 pub use trpo::{Trpo, TrpoConfig, TrpoUpdate};
 pub use value::ValueNet;
 pub use vpg::{Vpg, VpgConfig, VpgUpdate};

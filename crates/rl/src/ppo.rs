@@ -1,7 +1,7 @@
 //! Proximal policy optimization (Schulman et al. 2017) with a clipped
 //! surrogate objective — a comparator training technique in Fig. 10b.
 
-use edgeslice_nn::{Adam, Matrix};
+use edgeslice_nn::{Adam, Matrix, TrainScratch};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
@@ -125,6 +125,7 @@ impl Ppo {
 
         let n = rollout.rewards.len();
         let mut indices: Vec<usize> = (0..n).collect();
+        let mut s = TrainScratch::new();
         let mut clip_fraction = 0.0;
         for _ in 0..self.config.epochs {
             indices.shuffle(rng);
@@ -135,8 +136,8 @@ impl Ppo {
                 let old_lp: Vec<f64> = chunk.iter().map(|&i| rollout.log_probs[i]).collect();
                 let batch_adv: Vec<f64> = chunk.iter().map(|&i| adv[i]).collect();
 
-                let cache = self.policy.mean_net().forward_cached(&states);
-                let means = cache.output().clone();
+                self.policy.mean_net().forward_scratch(&states, &mut s);
+                let means = s.output().clone();
                 let new_lp = self.policy.log_prob_batch(&means, &raws);
                 let dlogp = self.policy.dlogp_dmean(&means, &raws);
                 let m = chunk.len() as f64;
@@ -162,9 +163,9 @@ impl Ppo {
                         d_mean[(row, j)] = -ratio * a * dlogp[(row, j)] / m;
                     }
                 }
-                let (mut grads, _) = self.policy.mean_net().backward(&cache, &d_mean);
-                grads.clip_global_norm(5.0);
-                self.policy_opt.step(self.policy.mean_net_mut(), &grads);
+                self.policy.mean_net().backward_scratch(&mut s, &d_mean);
+                s.grads_mut().clip_global_norm(5.0);
+                self.policy_opt.step(self.policy.mean_net_mut(), s.grads());
 
                 // log-std update: surrogate + entropy bonus.
                 let dls = self.policy.dlogp_dlogstd(&means, &raws);

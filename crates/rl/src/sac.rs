@@ -7,7 +7,7 @@
 //! sigmoid rather than the conventional tanh; the change-of-variables
 //! correction uses `log σ'(u) = log a(1−a)` accordingly.
 
-use edgeslice_nn::{Activation, Adam, Matrix, Mlp};
+use edgeslice_nn::{Activation, Adam, Matrix, Mlp, TrainScratch};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -230,9 +230,7 @@ impl Sac {
     /// Returns `None` (leaving every network untouched) until a full batch
     /// is available.
     pub fn update(&mut self, rng: &mut StdRng) -> Option<SacUpdate> {
-        // Reuse the persistent batch buffer across updates. SAC keeps the
-        // allocating reference kernels for the rest of its update — it is a
-        // Fig. 10b comparator, not the paper's DDPG hot path.
+        // Reuse the persistent batch buffer across updates.
         let mut batch = std::mem::take(&mut self.batch);
         if self
             .replay
@@ -270,25 +268,27 @@ impl Sac {
         }
 
         let sa = Matrix::hstack(&[&batch.states, &batch.actions]);
+        let (mut c1, mut c2) = (TrainScratch::new(), TrainScratch::new());
         let mut critic_loss = 0.0;
-        for (q, opt) in [
-            (&mut self.q1, &mut self.q1_opt),
-            (&mut self.q2, &mut self.q2_opt),
+        for (q, opt, c) in [
+            (&mut self.q1, &mut self.q1_opt, &mut c1),
+            (&mut self.q2, &mut self.q2_opt, &mut c2),
         ] {
-            let cache = q.forward_cached(&sa);
-            let (loss, d) = edgeslice_nn::mse_loss(cache.output(), &targets);
-            let (mut grads, _) = q.backward(&cache, &d);
-            grads.clip_global_norm(10.0);
-            opt.step(q, &grads);
+            q.forward_scratch(&sa, c);
+            let (loss, d) = edgeslice_nn::mse_loss(c.output(), &targets);
+            q.backward_scratch(c, &d);
+            c.grads_mut().clip_global_norm(10.0);
+            opt.step(q, c.grads());
             critic_loss += 0.5 * loss;
         }
 
         // ---- Actor: minimize E[α log π(a|s) − min Q(s, a)] (reparameterized).
-        let actor_cache = self.actor.forward_cached(&batch.states);
-        let sample = self.sample_from_heads(actor_cache.output(), rng);
+        let mut actor_s = TrainScratch::new();
+        self.actor.forward_scratch(&batch.states, &mut actor_s);
+        let sample = self.sample_from_heads(actor_s.output(), rng);
         let sa_pi = Matrix::hstack(&[&batch.states, &sample.actions]);
-        let c1 = self.q1.forward_cached(&sa_pi);
-        let c2 = self.q2.forward_cached(&sa_pi);
+        self.q1.forward_scratch(&sa_pi, &mut c1);
+        self.q2.forward_scratch(&sa_pi, &mut c2);
         let mut actor_loss = 0.0;
         // Per-row masks selecting the minimum critic.
         let mut d1 = Matrix::zeros(n, 1);
@@ -303,8 +303,9 @@ impl Sac {
                 d2[(i, 0)] = -1.0 / n as f64;
             }
         }
-        let (_, din1) = self.q1.backward(&c1, &d1);
-        let (_, din2) = self.q2.backward(&c2, &d2);
+        self.q1.backward_input_scratch(&mut c1, &d1);
+        self.q2.backward_input_scratch(&mut c2, &d2);
+        let (din1, din2) = (c1.d_input(), c2.d_input());
         let sd = batch.states.cols();
         let ad = self.action_dim;
         // ∂L/∂a from the −Qmin path (already includes the 1/n factor).
@@ -325,9 +326,9 @@ impl Sac {
                 d_head[(i, ad + j)] = dls * sample.std_grad_mask[(i, j)];
             }
         }
-        let (mut actor_grads, _) = self.actor.backward(&actor_cache, &d_head);
-        actor_grads.clip_global_norm(10.0);
-        self.actor_opt.step(&mut self.actor, &actor_grads);
+        self.actor.backward_scratch(&mut actor_s, &d_head);
+        actor_s.grads_mut().clip_global_norm(10.0);
+        self.actor_opt.step(&mut self.actor, actor_s.grads());
 
         // ---- Soft target updates.
         self.q1_target.soft_update_from(&self.q1, self.config.tau);

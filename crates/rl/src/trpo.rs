@@ -9,7 +9,7 @@
 //! by a transposed-Jacobian product (backpropagation). The log-std is held
 //! fixed during the trust-region step, the usual simplification.
 
-use edgeslice_nn::Matrix;
+use edgeslice_nn::{Matrix, TrainScratch};
 use edgeslice_optim::conjugate_gradient;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -153,14 +153,21 @@ impl Trpo {
         let n = rollout.rewards.len();
 
         // Policy gradient g = ∇_θ mean(logπ · A) at θ_old.
-        let cache = self.policy.mean_net().forward_cached(&rollout.states);
-        let means = cache.output().clone();
+        let mut scratch = TrainScratch::new();
+        self.policy
+            .mean_net()
+            .forward_scratch(&rollout.states, &mut scratch);
+        let means = scratch.output().clone();
         let dlogp = self.policy.dlogp_dmean(&means, &rollout.raw_actions);
         let d_mean = Matrix::from_fn(dlogp.rows(), dlogp.cols(), |i, j| {
             adv[i] * dlogp[(i, j)] / n as f64
         });
-        let (grads, _) = self.policy.mean_net().backward(&cache, &d_mean);
-        let g = self.policy.mean_net().flat_grads(&grads);
+        self.policy
+            .mean_net()
+            .backward_scratch(&mut scratch, &d_mean);
+        // Copied out: every Fisher-vector product below runs another
+        // backward over this forward, overwriting the scratch's gradients.
+        let g = self.policy.mean_net().flat_grads(scratch.grads());
 
         // Fisher-vector product via JVP (forward difference) + VJP
         // (backprop): F v = (1/n) Jᵀ diag(1/σ²) J v + damping v.
@@ -171,7 +178,7 @@ impl Trpo {
             .iter()
             .map(|ls| (-2.0 * ls).exp())
             .collect();
-        let fvp = |v: &[f64]| -> Vec<f64> {
+        let mut fvp = |v: &[f64]| -> Vec<f64> {
             let eps = 1e-5 / v.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
             let mut net = self.policy.mean_net().clone();
             let perturbed: Vec<f64> = theta.iter().zip(v).map(|(t, vi)| t + eps * vi).collect();
@@ -181,15 +188,17 @@ impl Trpo {
             let weighted = Matrix::from_fn(n, means.cols(), |i, j| {
                 (mu_eps[(i, j)] - means[(i, j)]) / eps * sigma_inv2[j] / n as f64
             });
-            let (jt, _) = self.policy.mean_net().backward(&cache, &weighted);
-            let mut out = self.policy.mean_net().flat_grads(&jt);
+            self.policy
+                .mean_net()
+                .backward_scratch(&mut scratch, &weighted);
+            let mut out = self.policy.mean_net().flat_grads(scratch.grads());
             for (o, vi) in out.iter_mut().zip(v) {
                 *o += self.config.cg_damping * vi;
             }
             out
         };
 
-        let s = conjugate_gradient(fvp, &g, self.config.cg_iters, 1e-10);
+        let s = conjugate_gradient(&mut fvp, &g, self.config.cg_iters, 1e-10);
         let s_fs: f64 = s.iter().zip(fvp(&s)).map(|(a, b)| a * b).sum();
         if s_fs <= 1e-12 || !s_fs.is_finite() {
             // Degenerate direction; skip the policy step but keep learning V.

@@ -1,6 +1,6 @@
 //! State-value function fitting shared by the on-policy algorithms.
 
-use edgeslice_nn::{mse_loss, Activation, Adam, Matrix, Mlp};
+use edgeslice_nn::{mse_loss_into, Activation, Adam, Matrix, Mlp, TrainScratch};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -47,6 +47,7 @@ impl ValueNet {
         assert_eq!(states.rows(), targets.len(), "value fit length mismatch");
         let n = states.rows();
         let mut indices: Vec<usize> = (0..n).collect();
+        let (mut s, mut d) = (TrainScratch::new(), Matrix::default());
         let mut last = 0.0;
         for _ in 0..epochs {
             indices.shuffle(rng);
@@ -56,10 +57,10 @@ impl ValueNet {
                 let xs = states.select_rows(chunk);
                 let ys =
                     Matrix::from_vec(chunk.len(), 1, chunk.iter().map(|&i| targets[i]).collect());
-                let cache = self.net.forward_cached(&xs);
-                let (loss, d) = mse_loss(cache.output(), &ys);
-                let (grads, _) = self.net.backward(&cache, &d);
-                self.opt.step(&mut self.net, &grads);
+                self.net.forward_scratch(&xs, &mut s);
+                let loss = mse_loss_into(s.output(), &ys, &mut d);
+                self.net.backward_scratch(&mut s, &d);
+                self.opt.step(&mut self.net, s.grads());
                 epoch_loss += loss;
                 batches += 1;
             }

@@ -1,7 +1,7 @@
 //! Vanilla policy gradient (REINFORCE with a learned baseline), one of the
 //! comparator training techniques in Fig. 10b (Sutton et al. 2000).
 
-use edgeslice_nn::{Adam, Matrix};
+use edgeslice_nn::{Adam, Matrix, TrainScratch};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -114,16 +114,19 @@ impl Vpg {
 
         // Policy gradient of -E[log π(a|s) A]: upstream gradient on the
         // mean head is -A_i * ∂logπ/∂μ for each sample.
-        let cache = self.policy.mean_net().forward_cached(&rollout.states);
-        let means = cache.output().clone();
+        let mut s = TrainScratch::new();
+        self.policy
+            .mean_net()
+            .forward_scratch(&rollout.states, &mut s);
+        let means = s.output().clone();
         let dlogp = self.policy.dlogp_dmean(&means, &rollout.raw_actions);
         let n = rollout.rewards.len() as f64;
         let d_mean = Matrix::from_fn(dlogp.rows(), dlogp.cols(), |i, j| {
             -adv[i] * dlogp[(i, j)] / n
         });
-        let (mut grads, _) = self.policy.mean_net().backward(&cache, &d_mean);
-        grads.clip_global_norm(5.0);
-        self.policy_opt.step(self.policy.mean_net_mut(), &grads);
+        self.policy.mean_net().backward_scratch(&mut s, &d_mean);
+        s.grads_mut().clip_global_norm(5.0);
+        self.policy_opt.step(self.policy.mean_net_mut(), s.grads());
 
         // log-std gradient (ascend E[logπ A]).
         let dls = self.policy.dlogp_dlogstd(&means, &rollout.raw_actions);

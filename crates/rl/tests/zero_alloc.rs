@@ -1,30 +1,41 @@
 //! Proves the steady-state training step is allocation-free.
 //!
 //! A counting global allocator wraps the system allocator; counting is
-//! switched on only around the measured region, so test-harness and warm-up
-//! allocations are ignored. The agent is warmed past its first update (which
+//! switched on only around the measured region and only on the measuring
+//! thread, so test-harness and warm-up allocations are ignored. The agent is warmed past its first update (which
 //! legitimately grows every scratch buffer to steady-state capacity), then a
 //! burst of further updates must perform **zero** heap allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use edgeslice_rl::{Ddpg, DdpgConfig, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Counts `alloc`/`realloc` calls while [`ENABLED`] is set. Deallocations
-/// are not counted: freeing during the measured region would itself imply a
-/// prior allocation, and steady-state buffers are never freed anyway.
+/// Counts `alloc`/`realloc` calls made by a thread whose [`ENABLED`] flag
+/// is set. Deallocations are not counted: freeing during the measured
+/// region would itself imply a prior allocation, and steady-state buffers
+/// are never freed anyway.
 struct CountingAllocator;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Set only on the thread running [`count_allocations`]; the harness's
+    /// own threads (bookkeeping for tests finishing meanwhile) stay
+    /// uncounted.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn counting() -> bool {
+    ENABLED.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc(layout)
@@ -35,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -45,18 +56,17 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Serializes the tests in this binary: [`ENABLED`] is process-global, so a
-/// concurrently running test's setup allocations would otherwise leak into
-/// another test's measured region.
+/// Serializes the tests in this binary: [`ALLOCATIONS`] is process-global,
+/// so two measured regions must not overlap.
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
 
 /// Runs `f` with allocation counting enabled and returns how many heap
 /// allocations it performed.
 fn count_allocations(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    ENABLED.store(true, Ordering::SeqCst);
+    ENABLED.with(|e| e.set(true));
     f();
-    ENABLED.store(false, Ordering::SeqCst);
+    ENABLED.with(|e| e.set(false));
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 

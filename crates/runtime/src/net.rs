@@ -120,8 +120,9 @@ impl<T: Transport> Acceptor<T> for ChannelAcceptor<T> {
     }
 }
 
-/// An [`Acceptor`] over a listening socket ([`NetListener`]): the
-/// initial-attach *and* rejoin path for real multi-process deployments —
+/// An [`Acceptor`] over a listening socket
+/// ([`NetListener`](crate::transport::NetListener)): the initial-attach
+/// *and* rejoin path for real multi-process deployments —
 /// a respawned worker process reconnects to the same socket and is
 /// adopted at the next gather poll.
 pub struct ListenerAcceptor {

@@ -503,9 +503,28 @@ fn checksum_valid_snapshot_with_short_per_ra_vectors_is_rejected() {
     assert_eq!(valid.next_round, 4);
     let mut short_policies = valid.clone();
     short_policies.policies.clear();
-    let mut short_panics = valid;
+    let mut short_panics = valid.clone();
     short_panics.panic_counts.truncate(1);
-    for (what, snap) in [("policies", short_policies), ("panic counts", short_panics)] {
+    // One RA's per-slot vectors cut short: each passes the per-RA counts
+    // above but would panic in the environment's restore.
+    let short_worker = |cut: fn(&mut edgeslice::WorkerSnapshot)| {
+        let mut snap = valid.clone();
+        cut(&mut snap.workers[1]);
+        snap
+    };
+    let short_queues = short_worker(|w| w.queues.truncate(1));
+    let short_coordination = short_worker(|w| w.coordination.truncate(1));
+    let short_active = short_worker(|w| w.active.truncate(1));
+    let short_rates = short_worker(|w| w.rates.truncate(1));
+    assert!(!valid.workers[1].active.is_empty());
+    for (what, snap) in [
+        ("policies", short_policies),
+        ("panic counts", short_panics),
+        ("queues", short_queues),
+        ("coordination", short_coordination),
+        ("active flags", short_active),
+        ("rates", short_rates),
+    ] {
         // Re-saved through the store: the envelope and checksum are valid.
         store.save_run(&snap).unwrap();
         let mut rng = StdRng::seed_from_u64(37);
